@@ -73,12 +73,16 @@ def parallel_compose(f1: Fts, f2: Fts) -> Fts:
 
     Shared labels fire jointly with the min of the component degrees;
     labels private to one side move that side and freeze the other.
+    Raises ``ModelError`` when two state pairs get the same product id,
+    which identifiers containing ``,`` can cause.
     """
     labels = f1.labels | f2.labels
     shared = f1.labels & f2.labels
     states = frozenset(
         product_id(s, t) for s in f1.states for t in f2.states
     )
+    if len(states) < len(f1.states) * len(f2.states):
+        raise ModelError("product state ids collide: two state pairs share an id")
     delta: dict[tuple[str, str], FuzzySet] = {}
     for s in f1.sorted_states():
         for t in f2.sorted_states():

@@ -1,4 +1,4 @@
-"""Bisimulation checking and bisimilarity via greatest-fixed-point iteration.
+"""Bisimulation checking and bisimilarity.
 
 The definitional check quantifies over every correlational pair of the
 relation, which is exponential if done literally.  Because a pair (U, V) is
@@ -16,6 +16,11 @@ oracle for the reduction.  Verdicts carry the lexicographically least failing
 item, ordered by (left state, right state, label), then within one such
 triple: left support violations by state, right support violations by state,
 block mismatches by block index.
+
+:func:`bisimilarity` runs on the partition engine of :mod:`fuzzts.partition`.
+:func:`refine` and :func:`iterate_refinement` keep the definitional
+greatest-fixed-point iteration over explicit relations as the reference it
+is tested against.
 """
 
 from __future__ import annotations
@@ -26,6 +31,7 @@ from itertools import product
 from .core import BlockDecomposition, Fts, FuzzyAutomaton, Relation, decompose, is_correlational
 from .degrees import Degree, ZERO
 from .errors import AlphabetError, CapError, ModelError, UniverseError
+from .partition import coarsest_partition
 
 
 @dataclass(frozen=True)
@@ -224,7 +230,9 @@ def refine(f1: Fts, f2: Fts, r: Relation) -> Relation:
     measured against ``r``'s correlational structure.
 
     A relation is a bisimulation iff it is contained in its own refinement;
-    iterating from the full product converges to bisimilarity.
+    iterating from the full product converges to bisimilarity.  This is the
+    definitional form of bisimilarity, kept as the reference the tests compare
+    :func:`bisimilarity` against; no library operation calls it.
     """
     _check_setting(f1, f2, r)
     dec = decompose(r)
@@ -256,7 +264,12 @@ def refine(f1: Fts, f2: Fts, r: Relation) -> Relation:
 
 def iterate_refinement(f1: Fts, f2: Fts) -> list[Relation]:
     """The non-increasing iteration of :func:`refine` from the full product
-    down to its fixed point, all iterates included."""
+    down to its fixed point, all iterates included.
+
+    Its last iterate is bisimilarity by definition; the tests compare
+    :func:`bisimilarity` against it.  Each round decomposes and refines an
+    explicit pair relation, so this is far slower than the partition engine.
+    """
     current = Relation.full(f1.states, f2.states)
     trace = [current]
     for _ in range(len(f1.states) * len(f2.states) + 1):
@@ -269,21 +282,40 @@ def iterate_refinement(f1: Fts, f2: Fts) -> list[Relation]:
 
 
 def bisimilarity(f1: Fts, f2: Fts) -> Relation:
-    """The largest bisimulation between the two systems: the fixed point of
-    the refinement iteration, equal to the union of all bisimulations."""
-    return iterate_refinement(f1, f2)[-1]
+    """The largest bisimulation between the two systems, equal to the union
+    of all bisimulations and to the fixed point of :func:`iterate_refinement`.
+
+    It is computed as the coarsest stable partition of the disjoint union of
+    the two systems, restricted to S1 x S2: the related pairs are those whose
+    states share a class.
+    """
+    left, right = _classes(f1, f2)
+    members: dict[int, list[str]] = {}
+    for t, c in right.items():
+        members.setdefault(c, []).append(t)
+    pairs = {(s, t) for s, c in left.items() for t in members.get(c, ())}
+    return Relation(f1.states, f2.states, pairs)
 
 
 def are_bisimilar(f1: Fts, f2: Fts) -> bool:
     """Whether the two initial states are related by some bisimulation."""
-    return (f1.init, f2.init) in bisimilarity(f1, f2)
+    left, right = _classes(f1, f2)
+    return left[f1.init] == right[f2.init]
+
+
+def _classes(f1: Fts, f2: Fts) -> tuple[dict[str, int], dict[str, int]]:
+    """Class numbers of the states of each system in the coarsest stable
+    partition of their disjoint union."""
+    if f1.labels != f2.labels:
+        raise AlphabetError("label alphabets differ")
+    class_of = coarsest_partition((f1, f2))
+    return class_of[0], class_of[-1]
 
 
 def self_bisimilarity(f: Fts) -> Relation:
-    """Bisimilarity of a system with itself; always an equivalence."""
-    rel = bisimilarity(f, f)
-    assert rel.is_equivalence()
-    return rel
+    """Bisimilarity of a system with itself; always an equivalence, since
+    it relates the states that share a class of one partition."""
+    return bisimilarity(f, f)
 
 
 def z_closure(r: Relation) -> Relation:

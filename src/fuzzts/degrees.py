@@ -20,7 +20,8 @@ from .errors import DegreeError
 #: Fixed denominator of every degree.
 SCALE = 10**9
 
-_DECIMAL_RE = re.compile(r"(\d+)(?:\.(\d+))?")
+# [0-9], not \d: \d also matches non-ASCII digits such as "\u0665" or "\uff11"
+_DECIMAL_RE = re.compile(r"([0-9]+)(?:\.([0-9]+))?")
 
 
 @total_ordering

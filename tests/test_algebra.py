@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import helpers
 from fuzzts import (
@@ -33,6 +34,13 @@ from fuzzts import (
 
 def d(text):
     return Degree.parse(text)
+
+
+# state identifiers over every identifier character except ','
+idents = st.lists(
+    st.text(alphabet="ab0_'()[]", min_size=1, max_size=4),
+    min_size=1, max_size=4, unique=True,
+)
 
 
 class TestStateMap:
@@ -87,6 +95,19 @@ class TestParallelCompose:
         product = parallel_compose(choice_late, twin_fork)
         assert len(product.states) == 12
         assert product.init == "(s0,s0)"
+
+    def test_colliding_product_ids_rejected(self):
+        """(a,"b,c") and ("a,b",c) would both be named (a,b,c)."""
+        f1 = Fts(["a", "a,b"], ["x"], "a")
+        f2 = Fts(["c", "b,c"], ["x"], "c")
+        with pytest.raises(ModelError, match="collide"):
+            parallel_compose(f1, f2)
+
+    @given(idents, idents)
+    def test_comma_free_ids_give_full_product(self, left, right):
+        f1 = Fts(left, ["a"], left[0], name="L")
+        f2 = Fts(right, ["a"], right[0], name="R")
+        assert len(parallel_compose(f1, f2).states) == len(left) * len(right)
 
     def test_commutes_up_to_bisimilarity(self):
         """The swap relation witnesses product commutativity."""

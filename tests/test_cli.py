@@ -238,6 +238,17 @@ class TestFileProducingCommands:
         assert len(product.states) == 9
         assert product.init == "(s0,t0)"
 
+    def test_compose_rejects_colliding_ids(self, capsys, tmp_path):
+        left = tmp_path / "left.fts"
+        right = tmp_path / "right.fts"
+        left.write_text("system l\nstates: a a,b\nlabels: x\ninit: a\n")
+        right.write_text("system r\nstates: c b,c\nlabels: x\ninit: c\n")
+        out_path = tmp_path / "prod.fts"
+        code, out, err = invoke(capsys, "compose", left, right, "-o", out_path)
+        assert (code, out) == (2, "")
+        assert "collide" in err
+        assert not out_path.exists()
+
     def test_quotient(self, capsys, tmp_path):
         rel = tmp_path / "eq.rel"
         rel.write_text(

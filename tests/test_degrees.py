@@ -49,6 +49,13 @@ def test_parse_rejects_malformed(text):
         Degree.parse(text)
 
 
+@pytest.mark.parametrize("text", ["\u0660.\u0665", "\uff11", "0.\u0665", "\u0967"])
+def test_parse_rejects_non_ascii_digits(text):
+    """Arabic-Indic, fullwidth and Devanagari digits are not degree digits."""
+    with pytest.raises(DegreeError, match="not a decimal degree literal"):
+        Degree.parse(text)
+
+
 def test_constructor_range():
     with pytest.raises(DegreeError):
         Degree(-1)

@@ -143,6 +143,10 @@ def test_all_zero_final_collapses_to_plain_system():
         ("system m\nstates: s0\nlabels: a\ninit: s0\njust words\n", 5,
          "expected 'DIRECTIVE: ...'"),
         ("system m\nstates: s:0\n", 2, "state"),
+        ("system m\nstates: s0\nlabels: a\ninit: s0\ntrans: s0 a \u0660.\u0665 s0\n", 5,
+         "not a decimal degree literal"),
+        ("system m\nstates: s0\nlabels: a\ninit: s0\nfinal: s0 \uff11\n", 5,
+         "not a decimal degree literal"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
