@@ -9,10 +9,12 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
 from .algebra import (
+    NotHomomorphismError,
     check_homomorphism,
     hom_image,
     is_subsystem,
@@ -21,6 +23,7 @@ from .algebra import (
     quotient,
 )
 from .bisim import (
+    Verdict,
     Witness,
     bisimilarity,
     check_automaton_bisimulation,
@@ -146,10 +149,22 @@ def _base(model: Fts | FuzzyAutomaton) -> Fts:
 
 
 def _write(path: str, text: str) -> None:
+    """Write through a temporary file next to the target (symlinks
+    followed), then rename it over the target, so a failed run never leaves
+    a partial file behind and an existing file stays whole."""
+    target = os.path.realpath(path)
+    temp = f"{target}.{os.urandom(4).hex()}.tmp"
+    created = False
     try:
-        Path(path).write_text(text, encoding="utf-8")
+        with open(temp, "x", encoding="utf-8") as handle:
+            created = True
+            handle.write(text)
+        os.replace(temp, target)
     except OSError as err:
         raise FtsError(f"{path}: {err.strerror or err}") from None
+    finally:
+        if created and os.path.lexists(temp):
+            os.unlink(temp)
 
 
 def _parse_word(text: str) -> Word:
@@ -349,9 +364,17 @@ def _dispatch(args) -> int:
         left = _base(_load_model(args.left))
         right = _base(_load_model(args.right))
         fmap = _load_map(args.map, left.states, right.states)
-        verdict = check_homomorphism(left, right, fmap)
         inputs = {"left": args.left, "right": args.right, "map": args.map}
         payload = _payload(args, inputs)
+        if args.command == "hom-check":
+            verdict = check_homomorphism(left, right, fmap)
+        else:
+            try:
+                image = hom_image(left, right, fmap)
+            except NotHomomorphismError as err:
+                verdict = err.verdict
+            else:
+                verdict = Verdict(True)
         if not verdict.holds:
             payload.update(result=False, witness=_witness_json(verdict.witness))
             _emit(args, payload, ["not a homomorphism", _witness_text(verdict.witness)])
@@ -360,7 +383,6 @@ def _dispatch(args) -> int:
             payload.update(result=True, witness=None)
             _emit(args, payload, ["homomorphism"])
             return 0
-        image = hom_image(left, right, fmap)
         _write(args.output, serialize_model(image))
         payload.update(result=True, output=args.output, states=len(image.states))
         _emit(args, payload, [f"wrote {args.output} ({len(image.states)} states)"])

@@ -4,7 +4,19 @@ from __future__ import annotations
 
 import random
 
-from fuzzts import Degree, Fts, FuzzyAutomaton, FuzzySet, ONE, Relation, ZERO
+from fuzzts import (
+    Degree,
+    Fts,
+    FuzzyAutomaton,
+    FuzzySet,
+    ONE,
+    QuotientFts,
+    Relation,
+    StateMap,
+    Verdict,
+    Witness,
+    ZERO,
+)
 
 # degree pool used by the random generators; "0" means "no edge"
 DEGREE_POOL = ("0", "0.3", "0.5", "0.8", "1")
@@ -197,12 +209,111 @@ def random_equivalence(rng: random.Random, f: Fts) -> Relation:
 
 
 def random_map(rng: random.Random, f1: Fts, f2: Fts):
-    from fuzzts import StateMap
-
     targets = f2.sorted_states()
     return StateMap(
         {s: rng.choice(targets) for s in f1.states}, f1.states, f2.states
     )
+
+
+def inflated_hom_case(rng: random.Random) -> tuple[Fts, Fts, StateMap]:
+    """A random base system g, a system made of 1-3 copies of each of its
+    states, and the map from copies back to g.
+
+    A copy of s gets, for each edge s -a-> t of degree d, one edge of degree
+    d to a random copy of t and, now and then, weaker edges to other copies,
+    so the unperturbed map is a homomorphism.  Three times in four the copy
+    system then gets 1-2 perturbations (an edge's degree redrawn, an edge
+    dropped, or an extra edge added), so most maps fail to be one."""
+    labels = ["a", "b"][: rng.randint(1, 2)]
+    g = random_fts(rng, rng.randint(1, 4), labels, prefix="g")
+    k = rng.randint(1, 3)
+    copies = {s: [f"{s}_{c}" for c in range(k)] for s in g.sorted_states()}
+    edges: dict[tuple[str, str, str], str] = {}
+    for s, a, d, t in g.transitions():
+        for source in copies[s]:
+            hit = rng.choice(copies[t])
+            edges[(source, a, hit)] = str(d)
+            for target in copies[t]:
+                if target != hit and rng.random() < 0.3:
+                    weaker = [x for x in NONZERO_DEGREES if Degree.parse(x) <= d]
+                    edges[(source, a, target)] = rng.choice(weaker)
+    states = [c for cs in copies.values() for c in cs]
+    if rng.random() < 0.75:
+        for _ in range(rng.randint(1, 2)):
+            move = rng.choice(("degree", "drop", "extra"))
+            if move != "extra" and edges:
+                key = rng.choice(sorted(edges))
+                if move == "drop":
+                    del edges[key]
+                else:
+                    edges[key] = rng.choice(NONZERO_DEGREES)
+            else:
+                key = (rng.choice(states), rng.choice(labels), rng.choice(states))
+                edges[key] = rng.choice(NONZERO_DEGREES)
+    big = Fts.from_triples(
+        states, labels, copies[g.init][0],
+        [(s, a, d, t) for (s, a, t), d in edges.items()], name="big",
+    )
+    fmap = StateMap(
+        {c: s for s, cs in copies.items() for c in cs}, big.states, g.states
+    )
+    return big, g, fmap
+
+
+def check_homomorphism_oracle(f1: Fts, f2: Fts, fmap: StateMap) -> Verdict:
+    """Definitional homomorphism check: for every (state, label, target)
+    triple, in sorted order, the max of delta1 over the target's preimage
+    must equal delta2 at the target.  O(|S1|*|A|*|S2|) point lookups."""
+    mapped_init = fmap(f1.init)
+    if mapped_init != f2.init:
+        return Verdict(
+            False, Witness(f1.init, mapped_init, None, "init-map", f2.init)
+        )
+    preimages: dict[str, list[str]] = {}
+    for s, t in fmap.items():
+        preimages.setdefault(t, []).append(s)
+    for s in f1.sorted_states():
+        fs = fmap(s)
+        for a in f1.sorted_labels():
+            mu = f1.delta(s, a)
+            eta = f2.delta(fs, a)
+            for t in f2.sorted_states():
+                required = max(
+                    (mu(t1) for t1 in preimages.get(t, ())), default=ZERO
+                )
+                actual = eta(t)
+                if required != actual:
+                    return Verdict(
+                        False, Witness(s, fs, a, "hom-sup", t, required, actual)
+                    )
+    return Verdict(True)
+
+
+def quotient_oracle(f: Fts, r: Relation) -> QuotientFts:
+    """Definitional quotient: each class-to-class degree is the supremum of
+    ``sup`` over every member of the source class, computed for every
+    (block, label, target block) triple."""
+    blocks = r.equivalence_classes()
+    name_of = {block: f"[{min(block)}]" for block in blocks}
+    classes = {name_of[block]: block for block in blocks}
+    class_of = {s: name_of[block] for block in blocks for s in block}
+    qstates = frozenset(classes)
+    delta: dict[tuple[str, str], FuzzySet] = {}
+    for block in blocks:
+        for a in f.sorted_labels():
+            entries: dict[str, Degree] = {}
+            for target_block in blocks:
+                best = ZERO
+                for s in block:
+                    value = f.delta(s, a).sup(target_block)
+                    if value > best:
+                        best = value
+                if best:
+                    entries[name_of[target_block]] = best
+            if entries:
+                delta[(name_of[block], a)] = FuzzySet(qstates, entries)
+    qf = Fts(qstates, f.labels, class_of[f.init], delta, name=f.name)
+    return QuotientFts(qf, StateMap(class_of, f.states, qstates), classes)
 
 
 def random_automaton(rng: random.Random, n_states: int, labels, prefix: str = "s") -> FuzzyAutomaton:

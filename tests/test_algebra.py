@@ -9,6 +9,7 @@ from fuzzts import (
     Degree,
     Fts,
     ModelError,
+    NotHomomorphismError,
     Relation,
     StateMap,
     UniverseError,
@@ -29,6 +30,7 @@ from fuzzts import (
     push_relation,
     quotient,
     self_bisimilarity,
+    serialize_model,
 )
 
 
@@ -271,8 +273,10 @@ class TestHomomorphism:
         const = StateMap(
             {s: "x" for s in choice_late.states}, choice_late.states, loop.states
         )
-        with pytest.raises(ModelError, match="not a homomorphism"):
+        with pytest.raises(ModelError, match="not a homomorphism") as err:
             hom_image(choice_late, loop, const)
+        assert isinstance(err.value, NotHomomorphismError)
+        assert err.value.verdict == check_homomorphism(choice_late, loop, const)
 
     def test_graph_characterizes_homomorphism(self):
         """A map is a homomorphism iff its graph is a bisimulation that
@@ -430,6 +434,82 @@ class TestQuotient:
             holds_seen += lhs
             fails_seen += not lhs
         assert holds_seen and fails_seen
+
+
+def _hom_cases(rng: random.Random, count: int):
+    """Three inflated systems (mostly perturbed) to one random pair under a
+    random map, which often fails already at the initial state."""
+    for i in range(count):
+        if i % 4:
+            yield helpers.inflated_hom_case(rng)
+        else:
+            labels = ["a", "b"][: rng.randint(1, 2)]
+            f1 = helpers.random_fts(rng, rng.randint(1, 4), labels, prefix="s")
+            f2 = helpers.random_fts(rng, rng.randint(1, 3), labels, prefix="t")
+            yield f1, f2, helpers.random_map(rng, f1, f2)
+
+
+class TestAgainstOracles:
+    """The edge passes of check_homomorphism and quotient against the
+    definitional loops kept in helpers."""
+
+    def test_check_homomorphism_matches_triple_loop(self):
+        rng = random.Random(3031)
+        kinds = {"init-map": 0, "hom-sup": 0, None: 0}
+        for f1, f2, fmap in _hom_cases(rng, 1200):
+            verdict = check_homomorphism(f1, f2, fmap)
+            assert verdict == helpers.check_homomorphism_oracle(f1, f2, fmap)
+            kinds[verdict.witness.kind if verdict.witness else None] += 1
+        assert kinds["hom-sup"] > 600
+        assert kinds["init-map"] > 100
+        assert kinds[None] > 100
+
+    def test_quotient_matches_member_pair_supremum(self):
+        rng = random.Random(3032)
+        for i in range(1000):
+            if i % 2:
+                f, _, fmap = helpers.inflated_hom_case(rng)
+                rel = kernel(fmap)
+            else:
+                labels = ["a", "b"][: rng.randint(1, 2)]
+                f = helpers.random_fts(rng, rng.randint(1, 6), labels)
+                rel = helpers.random_equivalence(rng, f)
+            q = quotient(f, rel)
+            assert q == helpers.quotient_oracle(f, rel)
+            assert serialize_model(q.quotient) == serialize_model(
+                helpers.quotient_oracle(f, rel).quotient
+            )
+
+
+class TestPostconditions:
+    """Properties hom_image, kernel and minimize once asserted at run time,
+    stated on random families."""
+
+    def test_hom_image_is_subsystem_of_codomain(self):
+        rng = random.Random(3033)
+        images = 0
+        for f1, f2, fmap in _hom_cases(rng, 400):
+            if check_homomorphism(f1, f2, fmap).holds:
+                image = hom_image(f1, f2, fmap)
+                assert image.states == fmap.image()
+                assert is_subsystem(image, f2)
+                images += 1
+        assert images > 50
+
+    def test_kernel_is_equivalence(self):
+        rng = random.Random(3034)
+        for f1, f2, fmap in _hom_cases(rng, 300):
+            ker = kernel(fmap)
+            assert ker.is_equivalence()
+            assert all((fmap(s) == fmap(t)) == ((s, t) in ker)
+                       for s in f1.states for t in f1.states)
+
+    def test_minimize_is_bisimilar_with_diagonal_self_bisimilarity(self):
+        rng = random.Random(3035)
+        for f, _, _ in _hom_cases(rng, 200):
+            reduced = minimize(f).quotient
+            assert are_bisimilar(f, reduced)
+            assert self_bisimilarity(reduced) == Relation.diagonal(reduced.states)
 
 
 class TestMinimize:

@@ -1,10 +1,14 @@
+import errno
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import fuzzts.algebra
+import fuzzts.cli
 from fuzzts import parse_model
 from fuzzts.cli import run
 
@@ -296,6 +300,55 @@ class TestFileProducingCommands:
         assert code == 1
         assert "not a homomorphism" in out
         assert not out_path.exists()
+
+    @pytest.mark.parametrize("homomorphism", [True, False])
+    def test_hom_image_checks_the_map_once(self, capsys, tmp_path, monkeypatch, homomorphism):
+        fmap = DATA / "dup_branch.map"
+        if not homomorphism:
+            fmap = tmp_path / "const.map"
+            fmap.write_text("".join(f"map: s{i} -> [s0]\n" for i in range(5)))
+        calls = []
+        check = fuzzts.algebra.check_homomorphism
+
+        def counted(*args):
+            calls.append(args)
+            return check(*args)
+
+        monkeypatch.setattr(fuzzts.algebra, "check_homomorphism", counted)
+        monkeypatch.setattr(fuzzts.cli, "check_homomorphism", counted)
+        code, _, _ = invoke(
+            capsys, "hom-image", DATA / "dup_branch.fts", DATA / "dup_min.fts",
+            "--map", fmap, "-o", tmp_path / "img.fts",
+        )
+        assert code == (0 if homomorphism else 1)
+        assert len(calls) == 1
+
+    def test_failed_write_keeps_existing_output(self, capsys, tmp_path, monkeypatch):
+        out_path = tmp_path / "min.fts"
+        out_path.write_text("previous contents\n")
+
+        def no_space(src, dst):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "replace", no_space)
+        code, out, err = invoke(
+            capsys, "minimize", DATA / "dup_branch.fts", "-o", out_path
+        )
+        assert (code, out) == (2, "")
+        assert err == f"error: {out_path}: {os.strerror(errno.ENOSPC)}\n"
+        assert out_path.read_text() == "previous contents\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["min.fts"]
+
+    def test_written_output_replaces_file_with_plain_mode(self, capsys, tmp_path):
+        out_path = tmp_path / "min.fts"
+        out_path.write_text("previous contents\n")
+        code, _, _ = invoke(capsys, "minimize", DATA / "dup_branch.fts", "-o", out_path)
+        assert code == 0
+        assert out_path.read_text() == (DATA / "dup_min.fts").read_text()
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["min.fts"]
+        umask = os.umask(0)
+        os.umask(umask)
+        assert out_path.stat().st_mode & 0o777 == 0o666 & ~umask
 
 
 class TestSubsystemAndHomCheck:
