@@ -5,10 +5,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bisim import Verdict, Witness, self_bisimilarity
+from .bisim import Verdict, Witness
 from .core import Fts, FuzzySet, Relation
 from .degrees import Degree, ZERO
 from .errors import AlphabetError, ModelError, UniverseError
+from .partition import coarsest_partition
 
 
 class StateMap:
@@ -245,13 +246,19 @@ def quotient(f: Fts, r: Relation) -> QuotientFts:
 
     Classes are named "[m]" after their least member; the class-to-class
     degree is the supremum over all member pairs, which makes the definition
-    independent of representatives.  One pass over the transitions takes
-    the max of each edge's degree into (class of source, label, class of
-    target), so the cost is O(|E| log |E|) after the classes are found.
+    independent of representatives.
     """
     if r.left_universe != f.states or r.right_universe != f.states:
         raise UniverseError("relation universes do not match the system")
-    blocks = r.equivalence_classes()
+    return _quotient_by_classes(f, r.equivalence_classes())
+
+
+def _quotient_by_classes(f: Fts, blocks: list[frozenset[str]]) -> QuotientFts:
+    """Quotient by a partition given as its classes sorted by least member.
+
+    One pass over the transitions takes the max of each edge's degree into
+    (class of source, label, class of target), O(|E| log |E|).
+    """
     name_of = {block: f"[{min(block)}]" for block in blocks}
     classes = {name_of[block]: block for block in blocks}
     class_of = {s: name_of[block] for block in blocks for s in block}
@@ -269,5 +276,13 @@ def quotient(f: Fts, r: Relation) -> QuotientFts:
 
 def minimize(f: Fts) -> QuotientFts:
     """Quotient by self-bisimilarity: the canonical smallest bisimilar
-    system.  The result's self-bisimilarity is the diagonal."""
-    return quotient(f, self_bisimilarity(f))
+    system.  The result's self-bisimilarity is the diagonal.
+
+    The classes are those of the partition engine run on ``f`` alone, so no
+    pair relation is built.
+    """
+    class_of = coarsest_partition((f,))[0]
+    members: dict[int, list[str]] = {}
+    for s in f.sorted_states():
+        members.setdefault(class_of[s], []).append(s)
+    return _quotient_by_classes(f, [frozenset(m) for m in members.values()])

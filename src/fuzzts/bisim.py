@@ -30,7 +30,7 @@ from itertools import product
 
 from .core import BlockDecomposition, Fts, FuzzyAutomaton, Relation, decompose, is_correlational
 from .degrees import Degree, ZERO
-from .errors import AlphabetError, CapError, ModelError, UniverseError
+from .errors import AlphabetError, CapError, UniverseError
 from .partition import coarsest_partition
 
 
@@ -198,29 +198,6 @@ def check_strong_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
                 if best < moved:
                     return Verdict(
                         False, Witness(s, t, a, "right-move", target, best, moved)
-                    )
-    return Verdict(True)
-
-
-def check_equivalence_bisimulation(f: Fts, r: Relation) -> Verdict:
-    """Bisimulation check specialized to an equivalence on one system:
-    related states must give every equivalence class the same supremum."""
-    if r.left_universe != f.states or r.right_universe != f.states:
-        raise UniverseError("relation universes do not match the system")
-    if not r.is_equivalence():
-        raise ModelError("relation is not an equivalence")
-    classes = r.equivalence_classes()
-    for s, t in r.sorted_pairs():
-        for a in sorted(f.labels):
-            mu = f.delta(s, a)
-            eta = f.delta(t, a)
-            for block in classes:
-                ds = mu.sup(block)
-                dt = eta.sup(block)
-                if ds != dt:
-                    return Verdict(
-                        False,
-                        Witness(s, t, a, "class-sup", f"[{min(block)}]", ds, dt),
                     )
     return Verdict(True)
 

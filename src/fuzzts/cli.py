@@ -3,11 +3,18 @@
 Exit codes: 0 = success / property holds, 1 = property fails (witness
 printed), 2 = usage or input error.  All output is deterministic; --json
 switches every command to a versioned machine-readable report.
+
+Each command is one handler.  It takes the parsed arguments and returns the
+JSON ``inputs``, the further JSON fields, the text lines and the exit code;
+:func:`run` prints the report.  Handlers look the library functions up as
+module globals when they run, so a caller that replaces one of them here
+(as a tracer does) sees every call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -37,6 +44,7 @@ from .language import accept_degree, lang_degree, lang_table
 from .modelfile import parse_map, parse_model, parse_relation, serialize_model
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fuzzts",
@@ -123,29 +131,21 @@ def _read(path: str) -> str:
         raise FtsError(f"{path}: {err.strerror or err}") from None
 
 
-def _load_model(path: str) -> Fts | FuzzyAutomaton:
+def _load(parse, path: str, *universes):
+    """``parse`` applied to the text of ``path`` and ``universes``; a parse
+    error is reported with the file name."""
     try:
-        return parse_model(_read(path))
-    except ParseError as err:
-        raise FtsError(f"{path}: {err}") from None
-
-
-def _load_relation(path: str, left, right):
-    try:
-        return parse_relation(_read(path), left, right)
-    except ParseError as err:
-        raise FtsError(f"{path}: {err}") from None
-
-
-def _load_map(path: str, domain, codomain):
-    try:
-        return parse_map(_read(path), domain, codomain)
+        return parse(_read(path), *universes)
     except ParseError as err:
         raise FtsError(f"{path}: {err}") from None
 
 
 def _base(model: Fts | FuzzyAutomaton) -> Fts:
     return model.base if isinstance(model, FuzzyAutomaton) else model
+
+
+def _system(path: str) -> Fts:
+    return _base(_load(parse_model, path))
 
 
 def _write(path: str, text: str) -> None:
@@ -205,204 +205,186 @@ def _witness_text(w: Witness) -> str:
     return "witness " + " ".join(parts)
 
 
-def _emit(args, payload: dict, lines: list[str]) -> None:
-    if args.json:
-        print(json.dumps(payload, indent=2))
-    else:
-        for line in lines:
-            print(line)
+def _verdict(verdict: Verdict, holds: str, fails: str):
+    """JSON fields, text lines and exit code reporting a verdict."""
+    lines = [holds if verdict.holds else fails]
+    if verdict.witness is not None:
+        lines.append(_witness_text(verdict.witness))
+    fields = {"result": verdict.holds, "witness": _witness_json(verdict.witness)}
+    return fields, lines, 0 if verdict.holds else 1
 
 
-def _payload(args, inputs: dict) -> dict:
-    return {"schemaVersion": 1, "command": args.command, "inputs": inputs}
+def _wrote(path: str, system: Fts):
+    """Write ``system`` to ``path``; JSON fields, text lines and exit code."""
+    _write(path, serialize_model(system))
+    count = len(system.states)
+    return {"result": True, "output": path, "states": count}, [f"wrote {path} ({count} states)"], 0
 
 
 def _state_arg(base: Fts, args) -> str:
     return args.state if args.state is not None else base.init
 
 
-def _dispatch(args) -> int:
-    if args.command == "validate":
-        model = _load_model(args.model)
-        base = _base(model)
-        kind = "automaton" if isinstance(model, FuzzyAutomaton) else "system"
-        count = sum(1 for _ in base.transitions())
-        payload = _payload(args, {"model": args.model})
-        payload.update(
-            result=True, kind=kind, name=base.name,
-            states=len(base.states), labels=len(base.labels), transitions=count,
-        )
-        _emit(args, payload, [
-            f"ok: {kind} {base.name} "
-            f"({len(base.states)} states, {len(base.labels)} labels, {count} transitions)"
-        ])
-        return 0
+def _validate(args):
+    model = _load(parse_model, args.model)
+    base = _base(model)
+    kind = "automaton" if isinstance(model, FuzzyAutomaton) else "system"
+    count = sum(1 for _ in base.transitions())
+    fields = dict(
+        result=True, kind=kind, name=base.name,
+        states=len(base.states), labels=len(base.labels), transitions=count,
+    )
+    line = (
+        f"ok: {kind} {base.name} "
+        f"({len(base.states)} states, {len(base.labels)} labels, {count} transitions)"
+    )
+    return {"model": args.model}, fields, [line], 0
 
-    if args.command == "lang":
-        base = _base(_load_model(args.model))
-        state = _state_arg(base, args)
-        word = _parse_word(args.word)
-        degree = lang_degree(base, state, word)
-        payload = _payload(args, {"model": args.model, "state": state, "word": _format_word(word)})
-        payload.update(result=True, degree=str(degree))
-        _emit(args, payload, [str(degree)])
-        return 0
 
-    if args.command == "lang-table":
-        base = _base(_load_model(args.model))
-        state = _state_arg(base, args)
-        if args.max_len < 0:
-            raise FtsError("--max-len must be >= 0")
-        table = lang_table(base, state, args.max_len)
-        payload = _payload(args, {"model": args.model, "state": state, "maxLen": args.max_len})
-        payload.update(
-            result=True,
-            table=[
-                {"word": _format_word(word), "degree": str(degree)}
-                for word, degree in table.items()
-            ],
-        )
-        _emit(args, payload, [f"{degree} {_format_word(word)}" for word, degree in table.items()])
-        return 0
+def _lang(args):
+    base = _system(args.model)
+    state = _state_arg(base, args)
+    word = _parse_word(args.word)
+    degree = lang_degree(base, state, word)
+    inputs = {"model": args.model, "state": state, "word": _format_word(word)}
+    return inputs, {"result": True, "degree": str(degree)}, [str(degree)], 0
 
-    if args.command == "accept":
-        model = _load_model(args.model)
-        if not isinstance(model, FuzzyAutomaton):
-            raise FtsError(f"{args.model}: model has no final degrees")
-        word = _parse_word(args.word)
-        degree = accept_degree(model, word)
-        payload = _payload(args, {"model": args.model, "word": _format_word(word)})
-        payload.update(result=True, degree=str(degree))
-        _emit(args, payload, [str(degree)])
-        return 0
 
-    if args.command == "check-bisim":
-        if args.strong and args.naive:
-            raise FtsError("--strong cannot be combined with --naive")
-        left_model = _load_model(args.left)
-        right_model = _load_model(args.right)
-        left, right = _base(left_model), _base(right_model)
-        rel = _load_relation(args.relation, left.states, right.states)
-        inputs = {"left": args.left, "right": args.right, "relation": args.relation,
-                  "strong": args.strong, "naive": args.naive}
-        payload = _payload(args, inputs)
-        if args.naive:
-            ok = check_bisimulation_naive(left, right, rel)
-            witness = None
-        elif args.strong:
-            verdict = check_strong_bisimulation(left, right, rel)
-            ok, witness = verdict.holds, verdict.witness
-        elif isinstance(left_model, FuzzyAutomaton) and isinstance(right_model, FuzzyAutomaton):
-            verdict = check_automaton_bisimulation(left_model, right_model, rel)
-            ok, witness = verdict.holds, verdict.witness
-        else:
-            verdict = check_bisimulation(left, right, rel)
-            ok, witness = verdict.holds, verdict.witness
-        payload.update(result=ok, witness=_witness_json(witness))
-        lines = ["holds" if ok else "does not hold"]
-        if witness is not None:
-            lines.append(_witness_text(witness))
-        _emit(args, payload, lines)
-        return 0 if ok else 1
+def _lang_table(args):
+    base = _system(args.model)
+    state = _state_arg(base, args)
+    if args.max_len < 0:
+        raise FtsError("--max-len must be >= 0")
+    table = [
+        (_format_word(word), str(degree))
+        for word, degree in lang_table(base, state, args.max_len).items()
+    ]
+    inputs = {"model": args.model, "state": state, "maxLen": args.max_len}
+    fields = {"result": True, "table": [{"word": w, "degree": d} for w, d in table]}
+    return inputs, fields, [f"{d} {w}" for w, d in table], 0
 
-    if args.command == "bisimilar":
-        left = _base(_load_model(args.left))
-        right = _base(_load_model(args.right))
-        rel = bisimilarity(left, right)
-        ok = (left.init, right.init) in rel
-        witness = None if ok else Witness(left.init, right.init, None, "absent-pair")
-        payload = _payload(args, {"left": args.left, "right": args.right})
-        payload.update(result=ok, witness=_witness_json(witness))
-        lines = ["bisimilar" if ok else "not bisimilar"]
-        if witness is not None:
-            lines.append(_witness_text(witness))
-        if args.print_relation:
-            payload["relation"] = [[a, b] for a, b in rel.sorted_pairs()]
-            lines.extend(f"rel: {a} {b}" for a, b in rel.sorted_pairs())
-        _emit(args, payload, lines)
-        return 0 if ok else 1
 
-    if args.command == "minimize":
-        base = _base(_load_model(args.model))
-        reduced = minimize(base).quotient
-        _write(args.output, serialize_model(reduced))
-        payload = _payload(args, {"model": args.model})
-        payload.update(result=True, output=args.output, states=len(reduced.states))
-        _emit(args, payload, [f"wrote {args.output} ({len(reduced.states)} states)"])
-        return 0
+def _accept(args):
+    model = _load(parse_model, args.model)
+    if not isinstance(model, FuzzyAutomaton):
+        raise FtsError(f"{args.model}: model has no final degrees")
+    word = _parse_word(args.word)
+    degree = accept_degree(model, word)
+    inputs = {"model": args.model, "word": _format_word(word)}
+    return inputs, {"result": True, "degree": str(degree)}, [str(degree)], 0
 
-    if args.command == "compose":
-        left = _base(_load_model(args.left))
-        right = _base(_load_model(args.right))
-        product = parallel_compose(left, right)
-        _write(args.output, serialize_model(product))
-        payload = _payload(args, {"left": args.left, "right": args.right})
-        payload.update(result=True, output=args.output, states=len(product.states))
-        _emit(args, payload, [f"wrote {args.output} ({len(product.states)} states)"])
-        return 0
 
-    if args.command == "quotient":
-        base = _base(_load_model(args.model))
-        rel = _load_relation(args.relation, base.states, base.states)
-        reduced = quotient(base, rel).quotient
-        _write(args.output, serialize_model(reduced))
-        payload = _payload(args, {"model": args.model, "relation": args.relation})
-        payload.update(result=True, output=args.output, states=len(reduced.states))
-        _emit(args, payload, [f"wrote {args.output} ({len(reduced.states)} states)"])
-        return 0
+def _check_bisim(args):
+    if args.strong and args.naive:
+        raise FtsError("--strong cannot be combined with --naive")
+    left_model = _load(parse_model, args.left)
+    right_model = _load(parse_model, args.right)
+    left, right = _base(left_model), _base(right_model)
+    rel = _load(parse_relation, args.relation, left.states, right.states)
+    if args.naive:
+        verdict = Verdict(check_bisimulation_naive(left, right, rel))
+    elif args.strong:
+        verdict = check_strong_bisimulation(left, right, rel)
+    elif isinstance(left_model, FuzzyAutomaton) and isinstance(right_model, FuzzyAutomaton):
+        verdict = check_automaton_bisimulation(left_model, right_model, rel)
+    else:
+        verdict = check_bisimulation(left, right, rel)
+    inputs = {"left": args.left, "right": args.right, "relation": args.relation,
+              "strong": args.strong, "naive": args.naive}
+    return (inputs, *_verdict(verdict, "holds", "does not hold"))
 
-    if args.command == "subsystem":
-        left = _base(_load_model(args.left))
-        right = _base(_load_model(args.right))
-        ok = is_subsystem(left, right)
-        payload = _payload(args, {"left": args.left, "right": args.right})
-        payload.update(result=ok, witness=None)
-        _emit(args, payload, ["subsystem" if ok else "not a subsystem"])
-        return 0 if ok else 1
 
-    if args.command in ("hom-check", "hom-image"):
-        left = _base(_load_model(args.left))
-        right = _base(_load_model(args.right))
-        fmap = _load_map(args.map, left.states, right.states)
-        inputs = {"left": args.left, "right": args.right, "map": args.map}
-        payload = _payload(args, inputs)
-        if args.command == "hom-check":
-            verdict = check_homomorphism(left, right, fmap)
-        else:
-            try:
-                image = hom_image(left, right, fmap)
-            except NotHomomorphismError as err:
-                verdict = err.verdict
-            else:
-                verdict = Verdict(True)
-        if not verdict.holds:
-            payload.update(result=False, witness=_witness_json(verdict.witness))
-            _emit(args, payload, ["not a homomorphism", _witness_text(verdict.witness)])
-            return 1
-        if args.command == "hom-check":
-            payload.update(result=True, witness=None)
-            _emit(args, payload, ["homomorphism"])
-            return 0
-        _write(args.output, serialize_model(image))
-        payload.update(result=True, output=args.output, states=len(image.states))
-        _emit(args, payload, [f"wrote {args.output} ({len(image.states)} states)"])
-        return 0
+def _bisimilar(args):
+    left, right = _system(args.left), _system(args.right)
+    rel = bisimilarity(left, right)
+    ok = (left.init, right.init) in rel
+    verdict = Verdict(ok, None if ok else Witness(left.init, right.init, None, "absent-pair"))
+    fields, lines, code = _verdict(verdict, "bisimilar", "not bisimilar")
+    if args.print_relation:
+        pairs = rel.sorted_pairs()
+        fields["relation"] = [[a, b] for a, b in pairs]
+        lines.extend(f"rel: {a} {b}" for a, b in pairs)
+    return {"left": args.left, "right": args.right}, fields, lines, code
 
-    raise AssertionError(f"unhandled command {args.command!r}")
+
+def _minimize(args):
+    reduced = minimize(_system(args.model)).quotient
+    return ({"model": args.model}, *_wrote(args.output, reduced))
+
+
+def _compose(args):
+    product = parallel_compose(_system(args.left), _system(args.right))
+    return ({"left": args.left, "right": args.right}, *_wrote(args.output, product))
+
+
+def _quotient(args):
+    base = _system(args.model)
+    rel = _load(parse_relation, args.relation, base.states, base.states)
+    reduced = quotient(base, rel).quotient
+    return ({"model": args.model, "relation": args.relation}, *_wrote(args.output, reduced))
+
+
+def _subsystem(args):
+    verdict = Verdict(is_subsystem(_system(args.left), _system(args.right)))
+    return ({"left": args.left, "right": args.right},
+            *_verdict(verdict, "subsystem", "not a subsystem"))
+
+
+def _hom_setting(args):
+    left, right = _system(args.left), _system(args.right)
+    fmap = _load(parse_map, args.map, left.states, right.states)
+    return {"left": args.left, "right": args.right, "map": args.map}, (left, right, fmap)
+
+
+def _hom_check(args):
+    inputs, setting = _hom_setting(args)
+    return (inputs, *_verdict(check_homomorphism(*setting), "homomorphism", "not a homomorphism"))
+
+
+def _hom_image(args):
+    inputs, setting = _hom_setting(args)
+    try:
+        image = hom_image(*setting)
+    except NotHomomorphismError as err:
+        return (inputs, *_verdict(err.verdict, "homomorphism", "not a homomorphism"))
+    return (inputs, *_wrote(args.output, image))
+
+
+_HANDLERS = {
+    "validate": _validate,
+    "lang": _lang,
+    "lang-table": _lang_table,
+    "accept": _accept,
+    "check-bisim": _check_bisim,
+    "bisimilar": _bisimilar,
+    "minimize": _minimize,
+    "compose": _compose,
+    "quotient": _quotient,
+    "subsystem": _subsystem,
+    "hom-check": _hom_check,
+    "hom-image": _hom_image,
+}
 
 
 def run(argv=None) -> int:
-    """Parse arguments, dispatch, and return the exit code."""
-    parser = _build_parser()
+    """Parse arguments, run the command's handler, print its report and
+    return the exit code."""
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _dispatch(args)
+        inputs, fields, lines, code = _HANDLERS[args.command](args)
     except FtsError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2
+    if args.json:
+        report = {"schemaVersion": 1, "command": args.command, "inputs": inputs, **fields}
+        print(json.dumps(report, indent=2))
+    else:
+        for line in lines:
+            print(line)
+    return code
 
 
 def main() -> None:

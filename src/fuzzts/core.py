@@ -128,11 +128,6 @@ class FuzzySet:
         return f"FuzzySet({{{inner}}})"
 
 
-def sup_over(mu: FuzzySet, states: Iterable[str]) -> Degree:
-    """Free-function form of :meth:`FuzzySet.sup`."""
-    return mu.sup(states)
-
-
 class Fts:
     """A finite fuzzy transition system: states, labels, total fuzzy
     transition function, initial state.
@@ -393,35 +388,38 @@ class Relation:
 
     def is_equivalence(self) -> bool:
         """Reflexive, symmetric and transitive on a shared universe."""
-        if self.left_universe != self.right_universe:
-            return False
-        if any((s, s) not in self.pairs for s in self.left_universe):
-            return False
-        if any((t, s) not in self.pairs for s, t in self.pairs):
-            return False
-        right_of: dict[str, set[str]] = {}
-        for s, t in self.pairs:
-            right_of.setdefault(s, set()).add(t)
-        return all(
-            u in right_of.get(s, ())
-            for s, t in self.pairs
-            for u in right_of.get(t, ())
-        )
+        return self._classes() is not None
 
     def equivalence_classes(self) -> list[frozenset[str]]:
         """The partition induced by an equivalence, sorted by least member."""
-        if not self.is_equivalence():
+        classes = self._classes()
+        if classes is None:
             raise ModelError("relation is not an equivalence")
-        seen: set[str] = set()
-        classes = []
+        return classes
+
+    def _classes(self) -> list[frozenset[str]] | None:
+        """The classes sorted by least member, or None for a relation that
+        is not an equivalence.
+
+        A relation is one exactly when every state lies in its own right-set
+        and every member of that set has the same right-set.  Each class is
+        compared once per member, so the pass costs O(|pairs|).
+        """
+        if self.left_universe != self.right_universe:
+            return None
         right_of: dict[str, set[str]] = {s: set() for s in self.left_universe}
         for s, t in self.pairs:
             right_of[s].add(t)
+        seen: set[str] = set()
+        classes = []
         for state in sorted(self.left_universe):
-            if state not in seen:
-                block = frozenset(right_of[state])
-                seen |= block
-                classes.append(block)
+            if state in seen:
+                continue
+            block = right_of[state]
+            if state not in block or any(right_of[t] != block for t in block):
+                return None
+            seen |= block
+            classes.append(frozenset(block))
         return classes
 
     def __eq__(self, other):

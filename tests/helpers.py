@@ -316,6 +316,24 @@ def quotient_oracle(f: Fts, r: Relation) -> QuotientFts:
     return QuotientFts(qf, StateMap(class_of, f.states, qstates), classes)
 
 
+def is_equivalence_oracle(r: Relation) -> bool:
+    """Definitional check: reflexive, symmetric, and transitive by a loop
+    over every pair of pairs."""
+    if r.left_universe != r.right_universe:
+        return False
+    return (
+        all((s, s) in r for s in r.left_universe)
+        and all((t, s) in r for s, t in r.pairs)
+        and all((s, u) in r for s, t in r.pairs for t2, u in r.pairs if t == t2)
+    )
+
+
+def equivalence_classes_oracle(r: Relation) -> list[frozenset[str]]:
+    """The distinct right-sets of an equivalence, sorted by least member."""
+    blocks = {frozenset(t for s2, t in r.pairs if s2 == s) for s in r.left_universe}
+    return sorted(blocks, key=min)
+
+
 def random_automaton(rng: random.Random, n_states: int, labels, prefix: str = "s") -> FuzzyAutomaton:
     base = random_fts(rng, n_states, labels, prefix)
     final = {

@@ -481,6 +481,24 @@ class TestAgainstOracles:
             )
 
 
+    def test_minimize_matches_quotient_by_self_bisimilarity(self):
+        rng = random.Random(3036)
+        merged = 0
+        for i in range(600):
+            if i % 2:
+                f, _, _ = helpers.inflated_hom_case(rng)
+            else:
+                labels = ["a", "b"][: rng.randint(1, 2)]
+                f = helpers.random_fts(rng, rng.randint(1, 8), labels)
+            q = minimize(f)
+            expected = quotient(f, self_bisimilarity(f))
+            assert q == expected
+            assert list(q.classes) == list(expected.classes)
+            assert serialize_model(q.quotient) == serialize_model(expected.quotient)
+            merged += len(q.quotient.states) < len(f.states)
+        assert merged > 100
+
+
 class TestPostconditions:
     """Properties hom_image, kernel and minimize once asserted at run time,
     stated on random families."""

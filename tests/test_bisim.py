@@ -10,7 +10,6 @@ from fuzzts import (
     Fts,
     FuzzyAutomaton,
     FuzzySet,
-    ModelError,
     Relation,
     UniverseError,
     ZERO,
@@ -19,7 +18,6 @@ from fuzzts import (
     check_automaton_bisimulation,
     check_bisimulation,
     check_bisimulation_naive,
-    check_equivalence_bisimulation,
     check_strong_bisimulation,
     enumerate_bisimulations_bruteforce,
     is_correlational,
@@ -171,53 +169,6 @@ class TestCheckStrongBisimulation:
                 strong_seen += 1
                 assert check_bisimulation(f1, f2, rel).holds
         assert strong_seen > 5
-
-
-class TestCheckEquivalenceBisimulation:
-    def test_twin_fork_merge_holds(self, twin_fork):
-        states = twin_fork.states
-        rel = Relation(
-            states, states,
-            {("s0", "s0"), ("s", "s"), ("t", "t"), ("s", "t"), ("t", "s")},
-        )
-        assert check_equivalence_bisimulation(twin_fork, rel).holds
-
-    def test_diagonal_holds(self, twin_fork):
-        rel = Relation.diagonal(twin_fork.states)
-        assert check_equivalence_bisimulation(twin_fork, rel).holds
-
-    def test_dup_branch_classes_hold(self, dup_branch):
-        states = dup_branch.states
-        blocks = [{"s0"}, {"s1", "s2"}, {"s3", "s4"}]
-        pairs = {(a, b) for block in blocks for a in block for b in block}
-        verdict = check_equivalence_bisimulation(dup_branch, Relation(states, states, pairs))
-        assert verdict.holds
-
-    def test_class_sup_witness(self, twin_fork):
-        # merging s0 with the dead ends breaks the a-class supremum
-        rel = Relation.full(twin_fork.states, twin_fork.states)
-        verdict = check_equivalence_bisimulation(twin_fork, rel)
-        assert not verdict.holds
-        assert verdict.witness.kind == "class-sup"
-        assert verdict.witness.subject == "[s]"
-
-    def test_rejects_non_equivalence(self, twin_fork):
-        rel = Relation(twin_fork.states, twin_fork.states, {("s", "t")})
-        with pytest.raises(ModelError):
-            check_equivalence_bisimulation(twin_fork, rel)
-
-    def test_agrees_with_plain_check(self):
-        rng = random.Random(24680)
-        holds_seen = fails_seen = 0
-        for _ in range(40):
-            f = helpers.random_fts(rng, rng.randint(2, 5), ["a", "b"])
-            rel = helpers.random_equivalence(rng, f)
-            class_form = check_equivalence_bisimulation(f, rel).holds
-            plain_form = check_bisimulation(f, f, rel).holds
-            assert class_form == plain_form
-            holds_seen += class_form
-            fails_seen += not class_form
-        assert holds_seen and fails_seen
 
 
 class TestRefine:

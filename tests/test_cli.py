@@ -1,3 +1,4 @@
+import argparse
 import errno
 import json
 import os
@@ -409,6 +410,16 @@ class TestUsage:
         assert run(["frobnicate"]) == 2
 
     def test_missing_required_option(self, capsys):
+        assert run(["lang", str(DATA / "choice_late.fts")]) == 2
+
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        assert run(["validate", str(DATA / "choice_late.fts")]) == 0
+
+        def rebuilt(*args, **kwargs):
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(argparse, "ArgumentParser", rebuilt)
+        assert run(["validate", str(DATA / "choice_late.fts")]) == 0
         assert run(["lang", str(DATA / "choice_late.fts")]) == 2
 
 

@@ -15,7 +15,6 @@ from fuzzts import (
     ZERO,
     decompose,
     is_correlational,
-    sup_over,
 )
 
 
@@ -45,7 +44,6 @@ class TestFuzzySet:
         assert mu.sup(set()) == ZERO
         assert mu.height == Degree.parse("0.8")
         assert FuzzySet({"a"}).height == ZERO
-        assert sup_over(mu, {"b"}) == Degree.parse("0.8")
 
     def test_sup_outside_universe(self):
         mu = FuzzySet({"a"}, {"a": "1"})
@@ -217,6 +215,34 @@ class TestRelation:
         states = {"a", "b"}
         with pytest.raises(ModelError):
             Relation(states, states, {("a", "b")}).equivalence_classes()
+
+
+class TestEquivalenceAgainstDefinition:
+    def test_matches_triple_loop(self):
+        """Random equivalences, and the same with one pair removed, one pair
+        added, or a pair added both ways (which can merge two classes)."""
+        rng = random.Random(4041)
+        outcomes = {True: 0, False: 0}
+        for _ in range(500):
+            f = helpers.random_fts(rng, rng.randint(1, 7), ["a"])
+            eq = helpers.random_equivalence(rng, f)
+            s, t = rng.choice(f.sorted_states()), rng.choice(f.sorted_states())
+            variants = [
+                eq,
+                eq.replace_pairs(eq.pairs - {rng.choice(eq.sorted_pairs())}),
+                eq.replace_pairs(eq.pairs | {(s, t)}),
+                eq.replace_pairs(eq.pairs | {(s, t), (t, s)}),
+            ]
+            for rel in variants:
+                expected = helpers.is_equivalence_oracle(rel)
+                assert rel.is_equivalence() == expected
+                if expected:
+                    assert rel.equivalence_classes() == helpers.equivalence_classes_oracle(rel)
+                else:
+                    with pytest.raises(ModelError, match="not an equivalence"):
+                        rel.equivalence_classes()
+                outcomes[expected] += 1
+        assert outcomes[True] > 600 and outcomes[False] > 800
 
 
 class TestDecompose:

@@ -1,9 +1,11 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 import helpers
 from fuzzts import (
+    SCALE,
     Degree,
     Fts,
     FuzzyAutomaton,
@@ -202,3 +204,49 @@ def test_empty_label_set_round_trips():
     text = serialize_model(f)
     assert "labels:\n" in text
     assert parse_model(text) == f
+
+
+# identifiers mixing a letter, a digit, the underscore and the prime with
+# every reserved character: ( ) [ ] ,
+ident = st.text(alphabet="ab0_'()[],", min_size=1, max_size=4)
+ident_lists = st.lists(ident, min_size=1, max_size=4, unique=True)
+positive_degrees = st.integers(1, SCALE).map(Degree)
+
+
+@st.composite
+def models(draw, automaton: bool):
+    states = draw(ident_lists)
+    labels = draw(st.lists(ident, max_size=3, unique=True))
+    keys = draw(st.lists(
+        st.tuples(st.sampled_from(states), st.sampled_from(labels), st.sampled_from(states)),
+        max_size=8, unique=True,
+    )) if labels else []
+    triples = [(s, a, draw(positive_degrees), t) for s, a, t in keys]
+    base = Fts.from_triples(states, labels, draw(st.sampled_from(states)), triples, name=draw(ident))
+    if not automaton:
+        return base
+    finals = draw(st.dictionaries(st.sampled_from(states), positive_degrees, min_size=1))
+    return FuzzyAutomaton(base, FuzzySet(base.states, finals))
+
+
+@pytest.mark.parametrize("automaton", [False, True])
+@given(data=st.data())
+def test_model_round_trip_property(automaton, data):
+    model = data.draw(models(automaton))
+    text = serialize_model(model)
+    parsed = parse_model(text)
+    assert parsed == model
+    assert serialize_model(parsed) == text
+
+
+@given(ident_lists, ident_lists, st.data())
+def test_relation_file_round_trip_property(left, right, data):
+    pairs = data.draw(st.sets(st.tuples(st.sampled_from(left), st.sampled_from(right))))
+    rel = Relation(left, right, pairs)
+    assert parse_relation(serialize_relation(rel), left, right) == rel
+
+
+@given(ident_lists, ident_lists, st.data())
+def test_map_file_round_trip_property(domain, codomain, data):
+    fmap = StateMap({s: data.draw(st.sampled_from(codomain)) for s in domain}, domain, codomain)
+    assert parse_map(serialize_map(fmap), domain, codomain) == fmap
