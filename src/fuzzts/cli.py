@@ -32,6 +32,7 @@ from .algebra import (
 from .bisim import (
     Verdict,
     Witness,
+    are_bisimilar,
     bisimilarity,
     check_automaton_bisimulation,
     check_bisimulation,
@@ -296,8 +297,11 @@ def _check_bisim(args):
 
 def _bisimilar(args):
     left, right = _system(args.left), _system(args.right)
-    rel = bisimilarity(left, right)
-    ok = (left.init, right.init) in rel
+    if args.print_relation:
+        rel = bisimilarity(left, right)
+        ok = (left.init, right.init) in rel
+    else:
+        ok = are_bisimilar(left, right)
     verdict = Verdict(ok, None if ok else Witness(left.init, right.init, None, "absent-pair"))
     fields, lines, code = _verdict(verdict, "bisimilar", "not bisimilar")
     if args.print_relation:

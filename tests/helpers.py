@@ -13,6 +13,7 @@ from fuzzts import (
     QuotientFts,
     Relation,
     StateMap,
+    UniverseError,
     Verdict,
     Witness,
     ZERO,
@@ -340,6 +341,21 @@ def random_automaton(rng: random.Random, n_states: int, labels, prefix: str = "s
         s: Degree.parse(rng.choice(DEGREE_POOL)) for s in base.sorted_states()
     }
     return FuzzyAutomaton(base, FuzzySet(base.states, final))
+
+
+def step_oracle(f: Fts, mu: FuzzySet, label: str) -> FuzzySet:
+    """Advance a distribution by one label: best-over-sources min of the
+    source weight and the edge degree.  Works on ``FuzzySet`` and ``Degree``
+    values throughout, building a new fuzzy set per step."""
+    if mu.universe != f.states:
+        raise UniverseError("distribution ranges over the wrong universe")
+    best: dict[str, Degree] = {}
+    for source, weight in mu.items():
+        for target, edge in f.delta(source, label).items():
+            reached = min(weight, edge)
+            if target not in best or reached > best[target]:
+                best[target] = reached
+    return FuzzySet(f.states, best)
 
 
 def path_degree(f: Fts, state: str, word) -> Degree:

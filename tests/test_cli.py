@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import fuzzts.algebra
+import fuzzts.bisim
 import fuzzts.cli
 from fuzzts import parse_model
 from fuzzts.cli import run
@@ -220,6 +221,25 @@ class TestBisimilar:
             capsys, "bisimilar", DATA / "choice_late.fts", DATA / "choice_late.fts"
         )
         assert (code, out) == (0, "bisimilar\n")
+
+    @pytest.mark.parametrize("print_relation", [False, True])
+    @pytest.mark.parametrize("right", ["dup_min.fts", "choice_early.fts"])
+    def test_relation_built_only_when_printed(self, capsys, monkeypatch, print_relation, right):
+        calls = []
+        relation = fuzzts.bisim.bisimilarity
+
+        def counted(*args):
+            calls.append(args)
+            return relation(*args)
+
+        monkeypatch.setattr(fuzzts.bisim, "bisimilarity", counted)
+        monkeypatch.setattr(fuzzts.cli, "bisimilarity", counted)
+        flags = ["--print-relation"] if print_relation else []
+        code, _, _ = invoke(
+            capsys, "bisimilar", DATA / "dup_branch.fts", DATA / right, *flags
+        )
+        assert code == (0 if right == "dup_min.fts" else 1)
+        assert len(calls) == (1 if print_relation else 0)
 
 
 class TestFileProducingCommands:

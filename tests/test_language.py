@@ -52,6 +52,28 @@ def test_step_universe_check(choice_late, choice_early):
         step(choice_late, unit(choice_early, "t0"), "a")
 
 
+def test_step_rejects_unknown_label(choice_late):
+    with pytest.raises(UniverseError):
+        step(choice_late, unit(choice_late, "s0"), "zz")
+    # also when the distribution is empty and no edge is looked up
+    with pytest.raises(UniverseError):
+        step(choice_late, FuzzySet(choice_late.states), "zz")
+
+
+def test_unknown_start_state_rejected(choice_late):
+    with pytest.raises(UniverseError):
+        lang_table(choice_late, "zz", 2)
+    with pytest.raises(UniverseError):
+        lang_equal_up_to(choice_late, "zz", choice_late, "s0", 2)
+    with pytest.raises(UniverseError):
+        lang_equal_up_to(choice_late, "s0", choice_late, "zz", 2)
+    for word in ((), ("a",)):
+        with pytest.raises(UniverseError):
+            delta_word(choice_late, "zz", word)
+        with pytest.raises(UniverseError):
+            lang_degree(choice_late, "zz", word)
+
+
 def test_delta_word_empty_is_unit(choice_late):
     assert delta_word(choice_late, "s1", ()) == unit(choice_late, "s1")
 
@@ -174,3 +196,108 @@ def test_negative_bounds_rejected(choice_late):
         lang_table(choice_late, "s0", -1)
     with pytest.raises(ValueError):
         lang_equal_up_to(choice_late, "s0", choice_late, "s0", -1)
+
+
+# ------------------------------------------------- differential vs oracles
+
+# degrees that no random_fts edge carries, for input distributions of step
+_OFF_POOL = ("0.1", "0.45", "0.65", "0.9", "1")
+
+
+def _system(rng):
+    labels = ["a", "b", "c"][: rng.randint(2, 3)]
+    return helpers.random_fts(rng, rng.randint(1, 12), labels)
+
+
+def _unit(f, state):
+    return FuzzySet(f.states, {state: ONE})
+
+
+def _delta_word_oracle(f, state, word):
+    mu = _unit(f, state)
+    for label in word:
+        mu = helpers.step_oracle(f, mu, label)
+    return mu
+
+
+def _lang_table_oracle(f, state, max_len):
+    table = {(): ONE}
+    frontier = [((), _unit(f, state))]
+    for _ in range(max_len):
+        next_frontier = []
+        for word, mu in frontier:
+            for label in f.sorted_labels():
+                nu = helpers.step_oracle(f, mu, label)
+                if nu:
+                    table[word + (label,)] = nu.height
+                    next_frontier.append((word + (label,), nu))
+        frontier = next_frontier
+    return table
+
+
+def _random_word(rng, f, max_len):
+    return tuple(rng.choice(f.sorted_labels()) for _ in range(rng.randint(0, max_len)))
+
+
+class TestAgainstOracles:
+    def test_lang_table_matches_step_fold(self):
+        rng = random.Random(5150)
+        for _ in range(120):
+            f = _system(rng)
+            state = rng.choice(f.sorted_states())
+            max_len = rng.randint(0, 5)
+            table = lang_table(f, state, max_len)
+            expected = _lang_table_oracle(f, state, max_len)
+            assert list(table.items()) == list(expected.items())
+
+    def test_lang_degree_matches_path_enumeration(self):
+        rng = random.Random(8128)
+        for _ in range(120):
+            f = _system(rng)
+            state = rng.choice(f.sorted_states())
+            max_len = 5 if len(f.states) <= 4 else 3
+            for _ in range(4):
+                word = _random_word(rng, f, max_len)
+                assert lang_degree(f, state, word) == helpers.path_degree(f, state, word)
+
+    def test_delta_word_matches_step_fold(self):
+        rng = random.Random(2718)
+        for _ in range(200):
+            f = _system(rng)
+            state = rng.choice(f.sorted_states())
+            word = _random_word(rng, f, 5)
+            assert delta_word(f, state, word) == _delta_word_oracle(f, state, word)
+
+    def test_step_matches_oracle_on_any_distribution(self):
+        rng = random.Random(1618)
+        for _ in range(300):
+            f = _system(rng)
+            pool = rng.choice((_OFF_POOL, helpers.DEGREE_POOL))
+            mu = FuzzySet(f.states, {s: rng.choice(pool) for s in f.sorted_states()})
+            for label in f.sorted_labels():
+                assert step(f, mu, label) == helpers.step_oracle(f, mu, label)
+
+    def test_accept_degree_matches_oracle_distribution(self):
+        rng = random.Random(3141)
+        for _ in range(200):
+            labels = ["a", "b", "c"][: rng.randint(2, 3)]
+            m = helpers.random_automaton(rng, rng.randint(1, 12), labels)
+            word = _random_word(rng, m.base, 5)
+            mu = _delta_word_oracle(m.base, m.base.init, word)
+            expected = max(
+                (min(mu(s), m.final(s)) for s in m.base.sorted_states()), default=ZERO
+            )
+            assert accept_degree(m, word) == expected
+
+    def test_lang_equal_up_to_matches_oracle_tables(self):
+        rng = random.Random(1729)
+        outcomes = []
+        for _ in range(300):
+            f1, f2 = helpers.random_pair(rng)
+            s1 = rng.choice(f1.sorted_states())
+            s2 = rng.choice(f2.sorted_states())
+            max_len = rng.randint(0, 5)
+            expected = _lang_table_oracle(f1, s1, max_len) == _lang_table_oracle(f2, s2, max_len)
+            assert lang_equal_up_to(f1, s1, f2, s2, max_len) == expected
+            outcomes.append(expected)
+        assert 0 < sum(outcomes) < len(outcomes)
