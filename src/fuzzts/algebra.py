@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bisim import Verdict, Witness
-from .core import Fts, FuzzySet, Relation
+from .core import Fts, Relation
 from .degrees import Degree, ZERO
 from .errors import AlphabetError, ModelError, UniverseError
 from .partition import coarsest_partition
@@ -84,7 +84,7 @@ def parallel_compose(f1: Fts, f2: Fts) -> Fts:
     )
     if len(states) < len(f1.states) * len(f2.states):
         raise ModelError("product state ids collide: two state pairs share an id")
-    delta: dict[tuple[str, str], FuzzySet] = {}
+    delta: dict[tuple[str, str], dict[str, Degree]] = {}
     for s in f1.sorted_states():
         for t in f2.sorted_states():
             source = product_id(s, t)
@@ -100,8 +100,7 @@ def parallel_compose(f1: Fts, f2: Fts) -> Fts:
                 else:
                     for t2, d2 in f2.delta(t, a).items():
                         entries[product_id(s, t2)] = d2
-                if entries:
-                    delta[(source, a)] = FuzzySet(states, entries)
+                delta[(source, a)] = entries
     return Fts(
         states,
         labels,
@@ -186,12 +185,7 @@ def hom_image(f1: Fts, f2: Fts, fmap: StateMap) -> Fts:
     if not verdict.holds:
         raise NotHomomorphismError(verdict)
     image = fmap.image()
-    delta = {}
-    for s in sorted(image):
-        for a in f2.sorted_labels():
-            entries = dict(f2.delta(s, a).items())
-            if entries:
-                delta[(s, a)] = FuzzySet(image, entries)
+    delta = {(s, a): f2.delta(s, a) for s in image for a in f2.labels}
     return Fts(image, f2.labels, f2.init, delta, name=f2.name)
 
 
@@ -269,8 +263,7 @@ def _quotient_by_classes(f: Fts, blocks: list[frozenset[str]]) -> QuotientFts:
         block = class_of[target]
         if entries.get(block, ZERO) < degree:
             entries[block] = degree
-    delta = {key: FuzzySet(qstates, entries) for key, entries in images.items()}
-    qf = Fts(qstates, f.labels, class_of[f.init], delta, name=f.name)
+    qf = Fts(qstates, f.labels, class_of[f.init], images, name=f.name)
     return QuotientFts(qf, StateMap(class_of, f.states, qstates), classes)
 
 

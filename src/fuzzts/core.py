@@ -136,6 +136,11 @@ class Fts:
     distribution over target states; pairs that can fire nothing map to the
     all-zero distribution and are simply not stored.  The ``name`` is file
     metadata only and takes no part in equality.
+
+    ``delta`` gives each (state, label) image as its (target, degree)
+    entries: a dict, or a ``FuzzySet`` read through ``items()``.  Each image
+    becomes a ``FuzzySet`` here, over ``states``, so a target outside them
+    raises ``UniverseError``; building costs O(|S| + |A| + |E|).
     """
 
     __slots__ = ("states", "labels", "init", "name", "_delta", "_zero")
@@ -145,7 +150,7 @@ class Fts:
         states: Iterable[str],
         labels: Iterable[str],
         init: str,
-        delta: Mapping[tuple[str, str], FuzzySet] = (),
+        delta: Mapping[tuple[str, str], Mapping[str, Degree | str | int] | FuzzySet] = (),
         name: str = "S",
     ):
         states = frozenset(check_ident("state", s) for s in states)
@@ -155,15 +160,12 @@ class Fts:
         if init not in states:
             raise ModelError(f"initial state {init!r} is not a state")
         table: dict[tuple[str, str], FuzzySet] = {}
-        for (source, label), image in dict(delta).items():
+        for (source, label), entries in dict(delta).items():
             if source not in states:
                 raise ModelError(f"unknown state {source!r} in transition function")
             if label not in labels:
                 raise ModelError(f"unknown label {label!r} in transition function")
-            if image.universe != states:
-                raise UniverseError(
-                    f"transition image of ({source!r}, {label!r}) ranges over the wrong universe"
-                )
+            image = FuzzySet(states, entries.items())
             if image:
                 table[(source, label)] = image
         object.__setattr__(self, "states", states)
@@ -186,12 +188,11 @@ class Fts:
         transition triples.
 
         Rejects unknown identifiers, out-of-range degrees, and duplicate
-        (source, label, target) triples.
+        (source, label, target) triples, zero-degree ones included.
         """
         state_set = frozenset(states)
         label_set = frozenset(labels)
         images: dict[tuple[str, str], dict[str, Degree]] = {}
-        seen: set[tuple[str, str, str]] = set()
         for source, label, value, target in triples:
             if source not in state_set:
                 raise ModelError(f"unknown state {source!r} in transition")
@@ -199,16 +200,13 @@ class Fts:
                 raise ModelError(f"unknown state {target!r} in transition")
             if label not in label_set:
                 raise ModelError(f"unknown label {label!r} in transition")
-            if (source, label, target) in seen:
+            entries = images.setdefault((source, label), {})
+            if target in entries:
                 raise ModelError(
                     f"duplicate transition triple ({source}, {label}, {target})"
                 )
-            seen.add((source, label, target))
-            images.setdefault((source, label), {})[target] = as_degree(value)
-        delta = {
-            key: FuzzySet(state_set, entries) for key, entries in images.items()
-        }
-        return cls(state_set, label_set, init, delta, name=name)
+            entries[target] = as_degree(value)
+        return cls(state_set, label_set, init, images, name=name)
 
     def __setattr__(self, name, value):
         raise AttributeError("Fts is immutable")

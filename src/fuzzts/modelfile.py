@@ -59,8 +59,7 @@ def parse_model(text: str) -> Fts | FuzzyAutomaton:
     states: frozenset[str] | None = None
     labels: frozenset[str] | None = None
     init = None
-    triples: list[tuple[str, str, Degree, str]] = []
-    seen_triples: set[tuple[str, str, str]] = set()
+    images: dict[tuple[str, str], dict[str, Degree]] = {}
     finals: dict[str, Degree] = {}
     for lineno, line in _logical_lines(text):
         if name is None:
@@ -112,10 +111,10 @@ def parse_model(text: str) -> Fts | FuzzyAutomaton:
                 raise ParseError(lineno, f"unknown label {label!r}")
             if dst not in states:
                 raise ParseError(lineno, f"unknown state {dst!r}")
-            if (src, label, dst) in seen_triples:
+            entries = images.setdefault((src, label), {})
+            if dst in entries:
                 raise ParseError(lineno, f"duplicate transition {src} {label} {dst}")
-            seen_triples.add((src, label, dst))
-            triples.append((src, label, _degree(lineno, degree_text), dst))
+            entries[dst] = _degree(lineno, degree_text)
         elif directive == "final":
             if states is None:
                 raise ParseError(lineno, "'states:' must come before 'final:'")
@@ -138,7 +137,7 @@ def parse_model(text: str) -> Fts | FuzzyAutomaton:
         raise ParseError(end, "missing 'labels:' line")
     if init is None:
         raise ParseError(end, "missing 'init:' line")
-    base = Fts.from_triples(states, labels, init, triples, name=name)
+    base = Fts(states, labels, init, images, name=name)
     if finals:
         return FuzzyAutomaton(base, FuzzySet(states, finals))
     return base

@@ -25,6 +25,7 @@ from fuzzts import (
     lang_equal_up_to,
     minimize,
     parallel_compose,
+    parse_model,
     product_id,
     pull_relation,
     push_relation,
@@ -497,6 +498,40 @@ class TestAgainstOracles:
             assert serialize_model(q.quotient) == serialize_model(expected.quotient)
             merged += len(q.quotient.states) < len(f.states)
         assert merged > 100
+
+
+class TestProducersAgainstFromTriples:
+    """Each producer hands Fts its images as entries; the system it builds
+    must equal the one from_triples builds from the same transitions."""
+
+    def test_every_producer_matches_from_triples(self):
+        rng = random.Random(3037)
+        built = dict.fromkeys(
+            ("parse", "quotient", "minimize", "compose", "hom_image"), 0
+        )
+        for f1, f2, fmap in _hom_cases(rng, 300):
+            systems = {
+                "parse": parse_model(serialize_model(f1)),
+                "quotient": quotient(f1, kernel(fmap)).quotient,
+                "minimize": minimize(f1).quotient,
+                "compose": parallel_compose(f1, f2),
+            }
+            if check_homomorphism(f1, f2, fmap).holds:
+                # an unreachable extra state keeps the map a homomorphism
+                # and makes its image a proper part of the codomain
+                wider = Fts.from_triples(
+                    f2.states | {"extra"}, f2.labels, f2.init, f2.transitions()
+                )
+                into_wider = StateMap(dict(fmap.items()), f1.states, wider.states)
+                systems["hom_image"] = hom_image(f1, wider, into_wider)
+            for producer, g in systems.items():
+                rebuilt = Fts.from_triples(
+                    g.states, g.labels, g.init, g.transitions(), name=g.name
+                )
+                assert g == rebuilt, producer
+                assert serialize_model(g) == serialize_model(rebuilt), producer
+                built[producer] += 1
+        assert min(built.values()) > 50
 
 
 class TestPostconditions:

@@ -5,6 +5,7 @@ import pytest
 import helpers
 from fuzzts import (
     Degree,
+    DegreeError,
     Fts,
     FuzzyAutomaton,
     FuzzySet,
@@ -89,16 +90,31 @@ class TestFts:
     def test_from_triples_rejects_bad_input(self):
         with pytest.raises(ModelError, match="unknown state"):
             Fts.from_triples(["s"], ["a"], "s", [("x", "a", "1", "s")])
+        with pytest.raises(ModelError, match="unknown state 'x' in transition"):
+            Fts.from_triples(["s"], ["a"], "s", [("s", "a", "1", "x")])
         with pytest.raises(ModelError, match="unknown label"):
             Fts.from_triples(["s"], ["a"], "s", [("s", "z", "1", "s")])
         with pytest.raises(ModelError, match="duplicate"):
             Fts.from_triples(
                 ["s"], ["a"], "s", [("s", "a", "1", "s"), ("s", "a", "0.5", "s")]
             )
+        with pytest.raises(ModelError, match="duplicate"):
+            Fts.from_triples(
+                ["s"], ["a"], "s", [("s", "a", "0", "s"), ("s", "a", "0", "s")]
+            )
+        with pytest.raises(DegreeError):
+            Fts.from_triples(["s"], ["a"], "s", [("s", "a", "1.5", "s")])
+        # triples are checked one at a time, in order
+        with pytest.raises(DegreeError):
+            Fts.from_triples(
+                ["s"], ["a"], "s", [("s", "a", "x", "s"), ("x", "a", "1", "s")]
+            )
         with pytest.raises(ModelError, match="no states"):
             Fts(set(), {"a"}, "s")
         with pytest.raises(ModelError, match="initial state"):
             Fts({"s"}, {"a"}, "x")
+        with pytest.raises(UniverseError):
+            Fts({"s"}, {"a"}, "s", {("s", "a"): {"x": "1"}})
 
     def test_identifier_charset(self):
         # product and class ids are legal states; whitespace and colons are not
@@ -124,11 +140,33 @@ class TestFts:
         )
         assert other == choice_late
         assert hash(other) == hash(choice_late)
+        # images given as dicts or as fuzzy sets build the same system
+        images = {
+            ("s0", "a"): {"s1": "0.9"},
+            ("s1", "b"): {"s2": Degree.parse("0.8")},
+            ("s1", "c"): {"s3": "0.7"},
+        }
+        states, labels = choice_late.sorted_states(), choice_late.sorted_labels()
+        from_dicts = Fts(states, labels, "s0", images)
+        from_sets = Fts(
+            states, labels, "s0", {key: choice_late.delta(*key) for key in images}
+        )
+        # an image over another universe is read through its entries
+        wider = frozenset(states) | {"elsewhere"}
+        from_wider = Fts(
+            states, labels, "s0",
+            {key: FuzzySet(wider, entries) for key, entries in images.items()},
+        )
+        assert from_dicts == from_sets == from_wider == choice_late
 
     def test_zero_degree_triple_is_no_edge(self):
         f = Fts.from_triples(["s", "t"], ["a"], "s", [("s", "a", "0", "t")])
         g = Fts.from_triples(["s", "t"], ["a"], "s", [])
         assert f == g
+        # zero entries and empty images are not stored
+        h = Fts(["s", "t"], ["a"], "s", {("s", "a"): {"t": "0"}, ("t", "a"): {}})
+        assert h == g
+        assert list(h.transitions()) == []
 
     def test_check_word(self, choice_late):
         assert choice_late.check_word(["a", "b"]) == ("a", "b")

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -56,6 +57,27 @@ def test_round_trip_random_systems():
     for _ in range(20):
         f = helpers.random_fts(rng, rng.randint(1, 5), ["a", "b"])
         assert parse_model(serialize_model(f)) == f
+
+
+def test_building_ten_thousand_states_is_linear():
+    """10^4 states and 5*10^4 edges: building from triples and parsing the
+    serialized file take well under a second each when construction is
+    linear, and over five seconds each when every image costs O(|S|)."""
+    rng = random.Random(10_000)
+    states = [f"s{i}" for i in range(10_000)]
+    edges: dict[tuple[str, str, str], str] = {}
+    while len(edges) < 50_000:
+        key = (rng.choice(states), rng.choice("ab"), rng.choice(states))
+        edges[key] = rng.choice(helpers.NONZERO_DEGREES)
+    triples = [(s, a, degree, t) for (s, a, t), degree in edges.items()]
+    start = time.perf_counter()
+    f = Fts.from_triples(states, ["a", "b"], "s0", triples)
+    text = serialize_model(f)
+    again = parse_model(text)
+    seconds = time.perf_counter() - start
+    assert sum(1 for _ in again.transitions()) == 50_000
+    assert serialize_model(again) == text
+    assert seconds < 4.0
 
 
 def test_comments_and_blank_lines():
@@ -130,6 +152,8 @@ def test_all_zero_final_collapses_to_plain_system():
          "unknown state 's1'"),
         ("system m\nstates: s0\nlabels: a\ninit: s0\n"
          "trans: s0 a 1 s0\ntrans: s0 a 0.5 s0\n", 6, "duplicate transition"),
+        ("system m\nstates: s0\nlabels: a\ninit: s0\n"
+         "trans: s0 a 0 s0\ntrans: s0 a 0 s0\n", 6, "duplicate transition"),
         ("system m\nstates: s0\nlabels: a\ninit: s0\ntrans: s0 a 1.5 s0\n", 5,
          "out of range"),
         ("system m\nstates: s0\nlabels: a\ninit: s0\ntrans: s0 a 0.8000000001 s0\n",
