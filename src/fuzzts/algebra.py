@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bisim import Verdict, Witness
-from .core import Fts, Relation
+from .core import Fts, Relation, members
 from .degrees import Degree, ZERO
 from .errors import AlphabetError, ModelError, UniverseError
 from .partition import coarsest_partition
@@ -190,13 +190,11 @@ def hom_image(f1: Fts, f2: Fts, fmap: StateMap) -> Fts:
 
 
 def kernel(fmap: StateMap) -> Relation:
-    """States identified by the map; always an equivalence on the domain."""
-    pairs = {
-        (s, t)
-        for s, fs in fmap.items()
-        for t, ft in fmap.items()
-        if fs == ft
-    }
+    """States identified by the map; always an equivalence on the domain.
+
+    Groups the domain by image, so it costs O(|D| log |D| + output)."""
+    groups = members(fmap._table).values()
+    pairs = {(s, t) for group in groups for s in group for t in group}
     return Relation(fmap.domain, fmap.domain, pairs)
 
 
@@ -214,14 +212,18 @@ def push_relation(fmap: StateMap, r: Relation) -> Relation:
 
 
 def pull_relation(fmap: StateMap, r: Relation) -> Relation:
-    """Preimage of a relation on the codomain, as a relation on the domain."""
+    """Preimage of a relation on the codomain, as a relation on the domain.
+
+    Each pair (x, y) of ``r`` relates every preimage of x to every preimage
+    of y, so it costs O(|D| log |D| + |r| + output)."""
     if r.left_universe != fmap.codomain or r.right_universe != fmap.codomain:
         raise UniverseError("relation is not over the map's codomain")
+    preimage = members(fmap._table)
     pairs = {
         (s, t)
-        for s in fmap.domain
-        for t in fmap.domain
-        if (fmap(s), fmap(t)) in r
+        for x, y in r.pairs
+        for s in preimage.get(x, ())
+        for t in preimage.get(y, ())
     }
     return Relation(fmap.domain, fmap.domain, pairs)
 
@@ -274,8 +276,5 @@ def minimize(f: Fts) -> QuotientFts:
     The classes are those of the partition engine run on ``f`` alone, so no
     pair relation is built.
     """
-    class_of = coarsest_partition((f,))[0]
-    members: dict[int, list[str]] = {}
-    for s in f.sorted_states():
-        members.setdefault(class_of[s], []).append(s)
-    return _quotient_by_classes(f, [frozenset(m) for m in members.values()])
+    groups = members(coarsest_partition((f,))[0]).values()
+    return _quotient_by_classes(f, [frozenset(group) for group in groups])

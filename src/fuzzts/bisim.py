@@ -28,7 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from .core import BlockDecomposition, Fts, FuzzyAutomaton, Relation, decompose, is_correlational
+from .core import (
+    BlockDecomposition, Fts, FuzzyAutomaton, Relation, decompose, is_correlational, members,
+)
 from .degrees import Degree, ZERO
 from .errors import AlphabetError, CapError, UniverseError
 from .partition import coarsest_partition
@@ -69,39 +71,37 @@ def _format_block(block: tuple[frozenset[str], frozenset[str]]) -> str:
     return f"{{{left}}}~{{{right}}}"
 
 
-class _SideProfile:
-    """Per-(state, label) view of one system against a decomposition: the
-    support weight falling outside the relation's projection, and the supremum
-    per block."""
+def _profile(f: Fts, block_of: dict[str, int]):
+    """Per-(state, label) view of one system against a decomposition, as a
+    cached closure returning ``(outside entries, {block index: sup})``: the
+    support entries falling outside the relation's projection, and the
+    supremum of each block the image reaches.  A block missing from the dict
+    has supremum zero, so one call costs the image's entries, not the
+    number of blocks."""
+    cache: dict[tuple[str, str], tuple[list, dict[int, Degree]]] = {}
 
-    def __init__(self, f: Fts, block_of: dict[str, int], nblocks: int):
-        self._f = f
-        self._block_of = block_of
-        self._nblocks = nblocks
-        self._cache: dict[tuple[str, str], tuple[list, tuple]] = {}
-
-    def __call__(self, state: str, label: str):
+    def profile(state: str, label: str):
         key = (state, label)
-        hit = self._cache.get(key)
+        hit = cache.get(key)
         if hit is None:
-            sups = [ZERO] * self._nblocks
             outside = []
-            for target, degree in self._f.delta(state, label).items():
-                index = self._block_of.get(target)
+            sups: dict[int, Degree] = {}
+            for target, degree in f.delta(state, label).items():
+                index = block_of.get(target)
                 if index is None:
                     outside.append((target, degree))
-                elif degree > sups[index]:
+                elif degree > sups.get(index, ZERO):
                     sups[index] = degree
-            hit = (outside, tuple(sups))
-            self._cache[key] = hit
+            hit = cache[key] = (outside, sups)
         return hit
+
+    return profile
 
 
 def _profiles(f1: Fts, f2: Fts, dec: BlockDecomposition):
     block_left = {s: i for i, (u, _) in enumerate(dec.blocks) for s in u}
     block_right = {t: i for i, (_, v) in enumerate(dec.blocks) for t in v}
-    n = len(dec.blocks)
-    return _SideProfile(f1, block_left, n), _SideProfile(f2, block_right, n)
+    return _profile(f1, block_left), _profile(f2, block_right)
 
 
 def check_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
@@ -109,7 +109,8 @@ def check_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
 
     Holds iff for every related pair and label the two transition images put
     no weight outside the relation's projections and agree block by block on
-    suprema.
+    suprema.  Costs the edges of both systems plus, per related pair and
+    label, the blocks the two images reach; not blocks times states.
     """
     _check_setting(f1, f2, r)
     dec = decompose(r)
@@ -125,11 +126,14 @@ def check_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
                 state, degree = outside_r[0]
                 return Verdict(False, Witness(s, t, a, "right-support", state, ZERO, degree))
             if sups_l != sups_r:
-                index = next(i for i in range(len(sups_l)) if sups_l[i] != sups_r[i])
+                index = min(
+                    i for i in sups_l.keys() | sups_r.keys()
+                    if sups_l.get(i) != sups_r.get(i)
+                )
                 return Verdict(
                     False,
                     Witness(s, t, a, "block-sup", _format_block(dec.blocks[index]),
-                            sups_l[index], sups_r[index]),
+                            sups_l.get(index, ZERO), sups_r.get(index, ZERO)),
                 )
     return Verdict(True)
 
@@ -222,7 +226,7 @@ def refine(f1: Fts, f2: Fts, r: Relation) -> Relation:
             outside, block_sups = profile(state, a)
             if outside:
                 return None
-            sups.append(block_sups)
+            sups.append(tuple(sorted(block_sups.items())))
         return tuple(sups)
 
     left_sig: dict[tuple, list[str]] = {}
@@ -267,10 +271,8 @@ def bisimilarity(f1: Fts, f2: Fts) -> Relation:
     states share a class.
     """
     left, right = _classes(f1, f2)
-    members: dict[int, list[str]] = {}
-    for t, c in right.items():
-        members.setdefault(c, []).append(t)
-    pairs = {(s, t) for s, c in left.items() for t in members.get(c, ())}
+    right_members = members(right)
+    pairs = {(s, t) for s, c in left.items() for t in right_members.get(c, ())}
     return Relation(f1.states, f2.states, pairs)
 
 
@@ -290,9 +292,12 @@ def _classes(f1: Fts, f2: Fts) -> tuple[dict[str, int], dict[str, int]]:
 
 
 def self_bisimilarity(f: Fts) -> Relation:
-    """Bisimilarity of a system with itself; always an equivalence, since
-    it relates the states that share a class of one partition."""
-    return bisimilarity(f, f)
+    """Bisimilarity of a system with itself: the equivalence whose classes
+    are those of the partition engine run on ``f`` alone, as in
+    :func:`fuzzts.algebra.minimize`.  Costs one engine run plus the pairs."""
+    groups = members(coarsest_partition((f,))[0]).values()
+    pairs = {(s, t) for group in groups for s in group for t in group}
+    return Relation(f.states, f.states, pairs)
 
 
 def z_closure(r: Relation) -> Relation:

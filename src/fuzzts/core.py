@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .degrees import ZERO, Degree, as_degree
 from .errors import ModelError, UniverseError
@@ -85,32 +85,6 @@ class FuzzySet:
     def height(self) -> Degree:
         """Maximum degree over the whole universe."""
         return max(self._entries.values(), default=ZERO)
-
-    def union(self, other: "FuzzySet") -> "FuzzySet":
-        """Pointwise max."""
-        self._check_same_universe(other)
-        merged = dict(self._entries)
-        for state, degree in other._entries.items():
-            if state not in merged or degree > merged[state]:
-                merged[state] = degree
-        return FuzzySet(self.universe, merged)
-
-    def intersection(self, other: "FuzzySet") -> "FuzzySet":
-        """Pointwise min."""
-        self._check_same_universe(other)
-        merged = {
-            state: min(degree, other._entries[state])
-            for state, degree in self._entries.items()
-            if state in other._entries
-        }
-        return FuzzySet(self.universe, merged)
-
-    __or__ = union
-    __and__ = intersection
-
-    def _check_same_universe(self, other: "FuzzySet") -> None:
-        if self.universe != other.universe:
-            raise UniverseError("fuzzy sets range over different universes")
 
     def __eq__(self, other):
         if isinstance(other, FuzzySet):
@@ -242,11 +216,16 @@ class Fts:
 
     def __eq__(self, other):
         if isinstance(other, Fts):
+            # every image ranges over its system's states, compared once
             return (
                 self.states == other.states
                 and self.labels == other.labels
                 and self.init == other.init
-                and self._delta == other._delta
+                and self._delta.keys() == other._delta.keys()
+                and all(
+                    image._entries == other._delta[key]._entries
+                    for key, image in self._delta.items()
+                )
             )
         return NotImplemented
 
@@ -435,6 +414,16 @@ class Relation:
     def __repr__(self):
         inner = ", ".join(f"({s},{t})" for s, t in self.sorted_pairs())
         return f"Relation{{{inner}}}"
+
+
+def members(class_of: Mapping[str, Hashable]) -> dict[Hashable, list[str]]:
+    """Group states by class: ``{class: its states, sorted}``, with the
+    classes in order of least member.  A map read this way gives the
+    preimage of every value it takes."""
+    groups: dict[Hashable, list[str]] = {}
+    for state in sorted(class_of):
+        groups.setdefault(class_of[state], []).append(state)
+    return groups
 
 
 @dataclass(frozen=True)

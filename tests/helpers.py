@@ -17,6 +17,7 @@ from fuzzts import (
     Verdict,
     Witness,
     ZERO,
+    decompose,
 )
 
 # degree pool used by the random generators; "0" means "no edge"
@@ -218,16 +219,24 @@ def random_map(rng: random.Random, f1: Fts, f2: Fts):
 
 def inflated_hom_case(rng: random.Random) -> tuple[Fts, Fts, StateMap]:
     """A random base system g, a system made of 1-3 copies of each of its
-    states, and the map from copies back to g.
+    states, and the map from copies back to g (see :func:`inflate`)."""
+    labels = ["a", "b"][: rng.randint(1, 2)]
+    g = random_fts(rng, rng.randint(1, 4), labels, prefix="g")
+    big, fmap = inflate(rng, g, rng.randint(1, 3))
+    return big, g, fmap
+
+
+def inflate(rng: random.Random, g: Fts, k: int, perturbed: bool = True) -> tuple[Fts, StateMap]:
+    """A system made of k copies of each state of g, and the map from copies
+    back to g.
 
     A copy of s gets, for each edge s -a-> t of degree d, one edge of degree
     d to a random copy of t and, now and then, weaker edges to other copies,
-    so the unperturbed map is a homomorphism.  Three times in four the copy
-    system then gets 1-2 perturbations (an edge's degree redrawn, an edge
-    dropped, or an extra edge added), so most maps fail to be one."""
-    labels = ["a", "b"][: rng.randint(1, 2)]
-    g = random_fts(rng, rng.randint(1, 4), labels, prefix="g")
-    k = rng.randint(1, 3)
+    so the unperturbed map is a homomorphism.  If ``perturbed``, three times
+    in four the copy system then gets 1-2 perturbations (an edge's degree
+    redrawn, an edge dropped, or an extra edge added), so most maps fail to
+    be one."""
+    labels = g.sorted_labels()
     copies = {s: [f"{s}_{c}" for c in range(k)] for s in g.sorted_states()}
     edges: dict[tuple[str, str, str], str] = {}
     for s, a, d, t in g.transitions():
@@ -239,7 +248,7 @@ def inflated_hom_case(rng: random.Random) -> tuple[Fts, Fts, StateMap]:
                     weaker = [x for x in NONZERO_DEGREES if Degree.parse(x) <= d]
                     edges[(source, a, target)] = rng.choice(weaker)
     states = [c for cs in copies.values() for c in cs]
-    if rng.random() < 0.75:
+    if perturbed and rng.random() < 0.75:
         for _ in range(rng.randint(1, 2)):
             move = rng.choice(("degree", "drop", "extra"))
             if move != "extra" and edges:
@@ -258,7 +267,7 @@ def inflated_hom_case(rng: random.Random) -> tuple[Fts, Fts, StateMap]:
     fmap = StateMap(
         {c: s for s, cs in copies.items() for c in cs}, big.states, g.states
     )
-    return big, g, fmap
+    return big, fmap
 
 
 def check_homomorphism_oracle(f1: Fts, f2: Fts, fmap: StateMap) -> Verdict:
@@ -288,6 +297,79 @@ def check_homomorphism_oracle(f1: Fts, f2: Fts, fmap: StateMap) -> Verdict:
                         False, Witness(s, fs, a, "hom-sup", t, required, actual)
                     )
     return Verdict(True)
+
+
+def check_bisimulation_oracle(f1: Fts, f2: Fts, r: Relation) -> Verdict:
+    """The correlational reduction with a dense profile: for every
+    (state, label), a vector of the suprema of all blocks, zeros included,
+    and the witness names the first index where two vectors differ.  Costs
+    blocks times (state, label) pairs; assumes matching alphabets and
+    universes."""
+    dec = decompose(r)
+
+    def side_profile(f: Fts, part: int):
+        block_of = {s: i for i, block in enumerate(dec.blocks) for s in block[part]}
+        cache: dict[tuple[str, str], tuple[list, tuple]] = {}
+
+        def profile(state: str, label: str):
+            key = (state, label)
+            if key not in cache:
+                sups = [ZERO] * len(dec.blocks)
+                outside = []
+                for target, degree in f.delta(state, label).items():
+                    index = block_of.get(target)
+                    if index is None:
+                        outside.append((target, degree))
+                    elif degree > sups[index]:
+                        sups[index] = degree
+                cache[key] = (outside, tuple(sups))
+            return cache[key]
+
+        return profile
+
+    left_prof, right_prof = side_profile(f1, 0), side_profile(f2, 1)
+    for s, t in r.sorted_pairs():
+        for a in f1.sorted_labels():
+            outside_l, sups_l = left_prof(s, a)
+            outside_r, sups_r = right_prof(t, a)
+            if outside_l:
+                state, degree = outside_l[0]
+                return Verdict(False, Witness(s, t, a, "left-support", state, degree, ZERO))
+            if outside_r:
+                state, degree = outside_r[0]
+                return Verdict(False, Witness(s, t, a, "right-support", state, ZERO, degree))
+            if sups_l != sups_r:
+                index = next(i for i in range(len(sups_l)) if sups_l[i] != sups_r[i])
+                left, right = dec.blocks[index]
+                subject = f"{{{','.join(sorted(left))}}}~{{{','.join(sorted(right))}}}"
+                return Verdict(
+                    False,
+                    Witness(s, t, a, "block-sup", subject, sups_l[index], sups_r[index]),
+                )
+    return Verdict(True)
+
+
+def kernel_oracle(fmap: StateMap) -> Relation:
+    """Definitional kernel: every pair of domain states with equal images."""
+    pairs = {
+        (s, t)
+        for s, fs in fmap.items()
+        for t, ft in fmap.items()
+        if fs == ft
+    }
+    return Relation(fmap.domain, fmap.domain, pairs)
+
+
+def pull_relation_oracle(fmap: StateMap, r: Relation) -> Relation:
+    """Definitional preimage: every pair of domain states whose images are
+    related by ``r``."""
+    pairs = {
+        (s, t)
+        for s in fmap.domain
+        for t in fmap.domain
+        if (fmap(s), fmap(t)) in r
+    }
+    return Relation(fmap.domain, fmap.domain, pairs)
 
 
 def quotient_oracle(f: Fts, r: Relation) -> QuotientFts:

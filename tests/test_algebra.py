@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 from hypothesis import given, strategies as st
@@ -451,8 +452,9 @@ def _hom_cases(rng: random.Random, count: int):
 
 
 class TestAgainstOracles:
-    """The edge passes of check_homomorphism and quotient against the
-    definitional loops kept in helpers."""
+    """The edge passes of check_homomorphism and quotient, and the grouping
+    of kernel and pull_relation, against the definitional loops kept in
+    helpers."""
 
     def test_check_homomorphism_matches_triple_loop(self):
         rng = random.Random(3031)
@@ -481,6 +483,20 @@ class TestAgainstOracles:
                 helpers.quotient_oracle(f, rel).quotient
             )
 
+
+    def test_kernel_and_pull_match_pair_loops(self):
+        rng = random.Random(3038)
+        not_onto = 0
+        for _ in range(400):
+            f1 = Fts([f"s{i}" for i in range(rng.randint(1, 8))], ["a"], "s0")
+            f2 = Fts([f"t{i}" for i in range(rng.randint(1, 5))], ["a"], "t0")
+            fmap = helpers.random_map(rng, f1, f2)
+            not_onto += fmap.image() != f2.states
+            assert kernel(fmap) == helpers.kernel_oracle(fmap)
+            density = rng.choice((0.0, 0.2, 0.5, 1.0))
+            rel = helpers.random_relation(rng, f2, f2, density)
+            assert pull_relation(fmap, rel) == helpers.pull_relation_oracle(fmap, rel)
+        assert not_onto > 100
 
     def test_minimize_matches_quotient_by_self_bisimilarity(self):
         rng = random.Random(3036)
@@ -532,6 +548,34 @@ class TestProducersAgainstFromTriples:
                 assert serialize_model(g) == serialize_model(rebuilt), producer
                 built[producer] += 1
         assert min(built.values()) > 50
+
+
+def test_homomorphism_suite_scales_linearly():
+    """10^4 states made of four copies of a sparse 2,500-state base, with
+    the map back to the base: checking the map's graph, its kernel and the
+    pulled diagonal take well under a second in total when each costs
+    edges plus output, and over twenty seconds when the kernel loops over
+    every pair of domain states."""
+    rng = random.Random(2500)
+    states = [f"g{i}" for i in range(2500)]
+    edges: dict[tuple[str, str, str], str] = {}
+    while len(edges) < 7500:
+        key = (rng.choice(states), rng.choice("ab"), rng.choice(states))
+        edges[key] = rng.choice(helpers.NONZERO_DEGREES)
+    base = Fts.from_triples(
+        states, ["a", "b"], "g0", [(s, a, g, t) for (s, a, t), g in edges.items()]
+    )
+    big, fmap = helpers.inflate(rng, base, 4, perturbed=False)
+    start = time.perf_counter()
+    verdict = check_bisimulation(big, base, graph_of(fmap))
+    ker = kernel(fmap)
+    pulled = pull_relation(fmap, Relation.diagonal(base.states))
+    seconds = time.perf_counter() - start
+    assert len(big.states) == 10_000
+    assert verdict.holds
+    assert len(ker) == 4 * 10_000
+    assert pulled == ker
+    assert seconds < 3.0
 
 
 class TestPostconditions:

@@ -19,7 +19,9 @@ from fuzzts import (
     check_bisimulation,
     check_bisimulation_naive,
     check_strong_bisimulation,
+    decompose,
     enumerate_bisimulations_bruteforce,
+    graph_of,
     is_correlational,
     iter_bisimulations_bruteforce,
     iterate_refinement,
@@ -108,6 +110,43 @@ class TestCheckBisimulation:
         # make sure the sample exercises both outcomes
         assert 0 < agreements < 60
 
+
+    def test_verdict_matches_dense_oracle(self):
+        """The whole verdict, witness included, against the dense-vector
+        form kept in helpers, on maps' graphs, small random pairs and
+        relations of at least 8 blocks."""
+        rng = random.Random(55002)
+        cases = []
+        for _ in range(300):
+            big, g, fmap = helpers.inflated_hom_case(rng)
+            cases.append((big, g, graph_of(fmap)))
+        for _ in range(300):
+            f1, f2 = helpers.random_pair(rng)
+            cases.append((f1, f2, helpers.random_relation(rng, f1, f2)))
+        for i in range(150):
+            labels = ["a", "b"][: rng.randint(1, 2)]
+            g = helpers.random_fts(rng, rng.randint(8, 10), labels, prefix="g")
+            if i % 2:
+                big, fmap = helpers.inflate(rng, g, rng.randint(1, 2))
+                cases.append((big, g, graph_of(fmap)))
+                continue
+            # a perfect matching, one pair of it now and then dropped
+            f2 = helpers.random_fts(rng, len(g.states), labels, prefix="t")
+            right = f2.sorted_states()
+            rng.shuffle(right)
+            pairs = list(zip(g.sorted_states(), right))
+            if rng.random() < 0.3:
+                pairs.pop(rng.randrange(len(pairs)))
+            cases.append((g, f2, Relation(g.states, f2.states, pairs)))
+        kinds = {"left-support": 0, "right-support": 0, "block-sup": 0, None: 0}
+        wide = 0
+        for f1, f2, rel in cases:
+            verdict = check_bisimulation(f1, f2, rel)
+            assert verdict == helpers.check_bisimulation_oracle(f1, f2, rel), (f1, f2, rel)
+            kinds[verdict.witness.kind if verdict.witness else None] += 1
+            wide += len(decompose(rel).blocks) >= 8
+        assert min(kinds.values()) > 20, kinds
+        assert wide > 100
 
 class TestCheckBisimulationNaive:
     def test_single_pair_on_twin_fork_fails(self, twin_fork):
@@ -279,6 +318,21 @@ class TestBisimilarity:
         single = Fts.from_triples(["u0", "u"], ["a"], "u0", [("u0", "a", "0.8", "u")])
         assert bisimilarity(fork, single).sorted_pairs() == [("s", "u"), ("s0", "u0"), ("t", "u")]
         assert bisimilarity(single, fork) == bisimilarity(fork, single).inverse()
+
+    def test_self_bisimilarity_matches_two_copy_bisimilarity(self):
+        """One engine run on ``f`` alone gives the classes of two copies."""
+        rng = random.Random(456790)
+        merged = 0
+        for i in range(400):
+            if i % 2:
+                f, _, _ = helpers.inflated_hom_case(rng)
+            else:
+                labels = ["a", "b"][: rng.randint(1, 2)]
+                f = helpers.random_fts(rng, rng.randint(1, 8), labels)
+            rel = self_bisimilarity(f)
+            assert rel == bisimilarity(f, f)
+            merged += len(rel) > len(f.states)
+        assert merged > 50
 
     def test_self_bisimilar(self, choice_early):
         assert are_bisimilar(choice_early, choice_early)

@@ -51,15 +51,6 @@ class TestFuzzySet:
         with pytest.raises(UniverseError):
             mu.sup({"z"})
 
-    def test_union_intersection_pointwise(self):
-        u = {"a", "b"}
-        mu = FuzzySet(u, {"a": "0.5", "b": "0.2"})
-        nu = FuzzySet(u, {"a": "0.3", "b": "0.8"})
-        assert (mu | nu) == FuzzySet(u, {"a": "0.5", "b": "0.8"})
-        assert (mu & nu) == FuzzySet(u, {"a": "0.3", "b": "0.2"})
-        with pytest.raises(UniverseError):
-            mu | FuzzySet({"a"}, {"a": "1"})
-
     def test_bool_and_eq(self):
         assert not FuzzySet({"a"})
         assert FuzzySet({"a"}, {"a": "0.1"})
@@ -158,6 +149,17 @@ class TestFts:
             {key: FuzzySet(wider, entries) for key, entries in images.items()},
         )
         assert from_dicts == from_sets == from_wider == choice_late
+        # one changed degree, target, image, initial state or state set is
+        # a different system
+        edited = [
+            {**images, ("s1", "c"): {"s3": "0.6"}},
+            {**images, ("s1", "c"): {"s2": "0.7"}},
+            {**images, ("s2", "a"): {"s3": "0.7"}},
+        ]
+        for delta in edited:
+            assert Fts(states, labels, "s0", delta) != choice_late
+        assert Fts(states, labels, "s1", images) != choice_late
+        assert Fts(states + ["s4"], labels, "s0", images) != choice_late
 
     def test_zero_degree_triple_is_no_edge(self):
         f = Fts.from_triples(["s", "t"], ["a"], "s", [("s", "a", "0", "t")])
