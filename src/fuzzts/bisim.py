@@ -302,23 +302,9 @@ def self_bisimilarity(f: Fts) -> Relation:
 
 def z_closure(r: Relation) -> Relation:
     """Least superset closed under square completion:
-    (s,t), (s',t), (s',t') present forces (s,t')."""
-    pairs = set(r.pairs)
-    while True:
-        rights_of: dict[str, set[str]] = {}
-        lefts_of: dict[str, set[str]] = {}
-        for s, t in pairs:
-            rights_of.setdefault(s, set()).add(t)
-            lefts_of.setdefault(t, set()).add(s)
-        new = {
-            (s, t2)
-            for s, t in pairs
-            for s2 in lefts_of[t]
-            for t2 in rights_of[s2]
-        }
-        if new <= pairs:
-            return r.replace_pairs(pairs)
-        pairs |= new
+    (s,t), (s',t), (s',t') present forces (s,t').  That is the union of
+    U x V over the blocks (U, V) of the relation's decomposition."""
+    return r.replace_pairs((s, t) for u, v in decompose(r).blocks for s in u for t in v)
 
 
 def iter_bisimulations_bruteforce(f1: Fts, f2: Fts, max_pairs: int = 14):

@@ -130,6 +130,8 @@ def _read(path: str) -> str:
         return Path(path).read_text(encoding="utf-8")
     except OSError as err:
         raise FtsError(f"{path}: {err.strerror or err}") from None
+    except UnicodeDecodeError as err:
+        raise FtsError(f"{path}: not UTF-8 text: {err}") from None
 
 
 def _load(parse, path: str, *universes):

@@ -1,19 +1,19 @@
 """Exact truth degrees in [0, 1].
 
-A degree is a decimal number with at most nine fractional digits, stored as an
-integer numerator over 10^9.  The whole toolkit only ever takes max, min, and
-comparisons of degrees, and those are closed over the input values, so no
-rounding happens anywhere: inputs with more than nine fractional digits are
-rejected, never rounded.
+A degree is a decimal number with at most nine fractional digits.  It is an
+``int`` equal to its numerator over 10^9: ``Degree.parse("0.8") == 800000000``.
+The whole toolkit only ever takes max, min, and comparisons of degrees, and
+those are closed over the input values, so no rounding happens anywhere:
+inputs with more than nine fractional digits are rejected, never rounded.
 
-Degrees are totally ordered, so the built-in ``max``/``min`` serve as the
-lattice join/meet.
+Ordering, hashing and truth value are those of the numerator, so the built-in
+``max``/``min`` serve as the lattice join/meet.  ``str`` gives the decimal
+form (``0``, ``1``, ``0.8``); arithmetic on degrees yields plain ``int``s.
 """
 
 from __future__ import annotations
 
 import re
-from functools import total_ordering
 
 from .errors import DegreeError
 
@@ -24,18 +24,17 @@ SCALE = 10**9
 _DECIMAL_RE = re.compile(r"([0-9]+)(?:\.([0-9]+))?")
 
 
-@total_ordering
-class Degree:
-    """An exact number in [0, 1], canonically ``numerator / 10^9``."""
+class Degree(int):
+    """An exact number in [0, 1]: the int ``n`` standing for ``n / 10^9``."""
 
-    __slots__ = ("numerator",)
+    __slots__ = ()
 
-    def __init__(self, numerator: int):
+    def __new__(cls, numerator: int):
         if not isinstance(numerator, int) or isinstance(numerator, bool):
             raise DegreeError(f"degree numerator must be an int, got {numerator!r}")
         if not 0 <= numerator <= SCALE:
             raise DegreeError(f"degree out of range: {numerator}/{SCALE}")
-        object.__setattr__(self, "numerator", numerator)
+        return int.__new__(cls, numerator)
 
     @classmethod
     def parse(cls, text: str) -> "Degree":
@@ -47,45 +46,29 @@ class Degree:
         m = _DECIMAL_RE.fullmatch(text.strip())
         if m is None:
             raise DegreeError(f"not a decimal degree literal: {text!r}")
-        whole, frac = m.group(1), m.group(2) or ""
+        # leading zeros stripped, so a long literal never reaches int()
+        whole, frac = m.group(1).lstrip("0"), m.group(2) or ""
         if len(frac) > 9:
             raise DegreeError(
                 f"degree precision: {text!r} has more than 9 fractional digits"
             )
-        numerator = int(whole) * SCALE + int(frac.ljust(9, "0"))
+        if len(whole) > 1:
+            raise DegreeError(f"degree out of range: {text!r}")
+        numerator = int(whole or "0") * SCALE + int(frac.ljust(9, "0"))
         if numerator > SCALE:
             raise DegreeError(f"degree out of range: {text!r}")
         return cls(numerator)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Degree is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, Degree):
-            return self.numerator == other.numerator
-        return NotImplemented
-
-    def __lt__(self, other):
-        if isinstance(other, Degree):
-            return self.numerator < other.numerator
-        return NotImplemented
-
-    def __hash__(self):
-        return hash(self.numerator)
-
-    def __bool__(self):
-        return self.numerator != 0
 
     def __repr__(self):
         return f"Degree({str(self)!r})"
 
     def __str__(self):
         """Minimal decimal form: ``0``, ``1``, ``0.8``."""
-        if self.numerator == 0:
+        if self == 0:
             return "0"
-        if self.numerator == SCALE:
+        if self == SCALE:
             return "1"
-        return "0." + str(self.numerator).rjust(9, "0").rstrip("0")
+        return f"0.{int(self):09d}".rstrip("0")
 
 
 #: The lattice bottom and top.

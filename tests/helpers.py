@@ -349,6 +349,27 @@ def check_bisimulation_oracle(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     return Verdict(True)
 
 
+def z_closure_oracle(r: Relation) -> Relation:
+    """Square completion iterated to a fixpoint: (s,t), (s',t), (s',t')
+    present forces (s,t')."""
+    pairs = set(r.pairs)
+    while True:
+        rights_of: dict[str, set[str]] = {}
+        lefts_of: dict[str, set[str]] = {}
+        for s, t in pairs:
+            rights_of.setdefault(s, set()).add(t)
+            lefts_of.setdefault(t, set()).add(s)
+        new = {
+            (s, t2)
+            for s, t in pairs
+            for s2 in lefts_of[t]
+            for t2 in rights_of[s2]
+        }
+        if new <= pairs:
+            return r.replace_pairs(pairs)
+        pairs |= new
+
+
 def kernel_oracle(fmap: StateMap) -> Relation:
     """Definitional kernel: every pair of domain states with equal images."""
     pairs = {

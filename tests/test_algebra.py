@@ -545,6 +545,7 @@ class TestProducersAgainstFromTriples:
                     g.states, g.labels, g.init, g.transitions(), name=g.name
                 )
                 assert g == rebuilt, producer
+                assert all(type(d) is Degree for _, _, d, _ in g.transitions()), producer
                 assert serialize_model(g) == serialize_model(rebuilt), producer
                 built[producer] += 1
         assert min(built.values()) > 50

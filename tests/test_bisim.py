@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -517,6 +518,51 @@ class TestZClosure:
                 for s2, t2 in closed.pairs:
                     if (s2, t) in closed:
                         assert (s, t2) in closed
+
+    def test_matches_fixpoint_oracle(self):
+        rng = random.Random(161803)
+        cases = [
+            Relation(frozenset({"s0", "s1"}), frozenset({"t0"}), set()),
+            Relation.full({"s0", "s1", "s2"}, {"t0", "t1"}),
+            Relation(
+                frozenset({"s0", "s1", "s2", "s3"}),
+                frozenset({"t0", "t1", "t2", "t3"}),
+                {("s0", "t1"), ("s1", "t1"), ("s1", "t0"), ("s2", "t2"), ("s3", "t3")},
+            ),
+        ]
+        for _ in range(1000):
+            left = frozenset(f"s{i}" for i in range(rng.randint(1, 9)))
+            right = frozenset(f"t{i}" for i in range(rng.randint(1, 9)))
+            density = rng.random()
+            cases.append(Relation(
+                left, right,
+                {(s, t) for s in left for t in right if rng.random() < density},
+            ))
+        assert sum(len(decompose(rel).blocks) >= 3 for rel in cases) >= 20
+        for rel in cases:
+            assert z_closure(rel) == helpers.z_closure_oracle(rel)
+
+    def test_alternating_path_within_bound(self):
+        """One block whose closure is all 200 x 200 pairs; the fixpoint
+        loop needs minutes here, the block form milliseconds."""
+        k = 200
+        left = [f"s{i}" for i in range(k)]
+        right = [f"t{i}" for i in range(k)]
+        pairs = {(left[i], right[i]) for i in range(k)}
+        pairs |= {(left[i + 1], right[i]) for i in range(k - 1)}
+        rel = Relation(frozenset(left), frozenset(right), pairs)
+
+        def out_of_time(signum, frame):
+            raise TimeoutError("z_closure exceeded 2 s on a 200-state path")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.setitimer(signal.ITIMER_REAL, 2.0)
+        try:
+            closed = z_closure(rel)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert closed == Relation.full(left, right)
 
     def test_z_closure_preserves_bisimulation(self):
         rng = random.Random(271828)

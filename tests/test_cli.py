@@ -44,10 +44,29 @@ class TestValidate:
         assert out == ""
         assert "line 5" in err and "degree precision" in err
 
+    def test_overlong_degree_literal_is_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.fts"
+        bad.write_text("system m\nstates: s0 s1\nlabels: a\ninit: s0\n"
+                       f"trans: s0 a {'0' * 5000}1 s1\n"
+                       f"trans: s1 a {'0' * 5000}2 s0\n")
+        code, out, err = invoke(capsys, "validate", bad)
+        assert code == 2
+        assert out == ""
+        assert "line 6" in err and "out of range" in err
+
     def test_missing_file_is_exit_2(self, capsys, tmp_path):
         code, _, err = invoke(capsys, "validate", tmp_path / "nope.fts")
         assert code == 2
         assert "error:" in err
+
+    def test_non_utf8_file_is_exit_2(self, capsys, tmp_path):
+        bad = tmp_path / "bad.fts"
+        bad.write_bytes(b"system m\nstates: s0\xff\n")
+        code, out, err = invoke(capsys, "validate", bad)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {bad}: ")
+        assert "0xff" in err
 
 
 class TestLang:

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -22,6 +24,9 @@ def test_parse_basic():
     assert Degree.parse("0") == ZERO
     assert Degree.parse("1.000000000") == ONE
     assert Degree.parse("0.123456789") == Degree(123_456_789)
+    assert Degree.parse("0001") == ONE
+    assert Degree.parse("0" * 5000 + "1") == ONE
+    assert Degree.parse("0" * 5000 + ".5") == Degree(500_000_000)
 
 
 def test_parse_padding_is_exact():
@@ -37,7 +42,14 @@ def test_parse_rejects_ten_fractional_digits():
         Degree.parse("0.8000000000")
 
 
-@pytest.mark.parametrize("text", ["1.1", "2", "1.000000001"])
+@pytest.mark.parametrize(
+    "text",
+    [
+        "1.1", "2", "1.000000001", "10",
+        pytest.param("0" * 5000 + "2", id="5000-zeros-then-2"),
+        pytest.param("1" * 5000, id="5000-ones"),
+    ],
+)
 def test_parse_rejects_above_one(text):
     with pytest.raises(DegreeError, match="out of range"):
         Degree.parse(text)
@@ -92,7 +104,11 @@ def test_str_parse_round_trip(d):
 @given(degrees, degrees)
 def test_order_matches_numerators(a, b):
     assert (a < b) == (a.numerator < b.numerator)
+    assert (a <= b) == (a.numerator <= b.numerator)
+    assert (a > b) == (a.numerator > b.numerator)
+    assert (a >= b) == (a.numerator >= b.numerator)
     assert (a == b) == (a.numerator == b.numerator)
+    assert (a != b) == (a.numerator != b.numerator)
     assert (a <= b) or (b <= a)
 
 
@@ -100,6 +116,8 @@ def test_order_matches_numerators(a, b):
 def test_join_meet_commute(a, b):
     assert max(a, b) == max(b, a)
     assert min(a, b) == min(b, a)
+    assert type(max(a, b)) is Degree
+    assert type(min(a, b)) is Degree
 
 
 @given(degrees, degrees, degrees)
@@ -126,3 +144,16 @@ def test_immutable():
     d = Degree.parse("0.5")
     with pytest.raises(AttributeError):
         d.numerator = 3
+    with pytest.raises(AttributeError):
+        d.extra = 1
+
+
+def test_degree_is_its_numerator():
+    d = Degree.parse("0.8")
+    assert isinstance(d, int)
+    assert d == 800_000_000
+    assert type(d.numerator) is int and d.numerator == 800_000_000
+    assert json.dumps(d) == "800000000"
+    assert type(d + d) is int
+    assert f"{d}" == "0.8"
+    assert repr(d) == "Degree('0.8')"

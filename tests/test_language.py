@@ -249,6 +249,7 @@ class TestAgainstOracles:
             table = lang_table(f, state, max_len)
             expected = _lang_table_oracle(f, state, max_len)
             assert list(table.items()) == list(expected.items())
+            assert all(type(d) is Degree for d in table.values())
 
     def test_lang_degree_matches_path_enumeration(self):
         rng = random.Random(8128)
@@ -258,7 +259,9 @@ class TestAgainstOracles:
             max_len = 5 if len(f.states) <= 4 else 3
             for _ in range(4):
                 word = _random_word(rng, f, max_len)
-                assert lang_degree(f, state, word) == helpers.path_degree(f, state, word)
+                degree = lang_degree(f, state, word)
+                assert degree == helpers.path_degree(f, state, word)
+                assert type(degree) is Degree
 
     def test_delta_word_matches_step_fold(self):
         rng = random.Random(2718)
@@ -266,7 +269,9 @@ class TestAgainstOracles:
             f = _system(rng)
             state = rng.choice(f.sorted_states())
             word = _random_word(rng, f, 5)
-            assert delta_word(f, state, word) == _delta_word_oracle(f, state, word)
+            mu = delta_word(f, state, word)
+            assert mu == _delta_word_oracle(f, state, word)
+            assert all(type(d) is Degree for _, d in mu.items())
 
     def test_step_matches_oracle_on_any_distribution(self):
         rng = random.Random(1618)
@@ -275,7 +280,9 @@ class TestAgainstOracles:
             pool = rng.choice((_OFF_POOL, helpers.DEGREE_POOL))
             mu = FuzzySet(f.states, {s: rng.choice(pool) for s in f.sorted_states()})
             for label in f.sorted_labels():
-                assert step(f, mu, label) == helpers.step_oracle(f, mu, label)
+                nu = step(f, mu, label)
+                assert nu == helpers.step_oracle(f, mu, label)
+                assert all(type(d) is Degree for _, d in nu.items())
 
     def test_accept_degree_matches_oracle_distribution(self):
         rng = random.Random(3141)
@@ -287,7 +294,9 @@ class TestAgainstOracles:
             expected = max(
                 (min(mu(s), m.final(s)) for s in m.base.sorted_states()), default=ZERO
             )
-            assert accept_degree(m, word) == expected
+            degree = accept_degree(m, word)
+            assert degree == expected
+            assert type(degree) is Degree
 
     def test_lang_equal_up_to_matches_oracle_tables(self):
         rng = random.Random(1729)

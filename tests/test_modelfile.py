@@ -160,6 +160,14 @@ def test_all_zero_final_collapses_to_plain_system():
          "out of range"),
         ("system m\nstates: s0\nlabels: a\ninit: s0\ntrans: s0 a 0.8000000001 s0\n",
          5, "degree precision"),
+        pytest.param(
+            "system m\nstates: s0\nlabels: a\ninit: s0\ntrans: s0 a " + "0" * 5000 + "2 s0\n",
+            5, "out of range", id="trans-5000-zeros-then-2",
+        ),
+        pytest.param(
+            "system m\nstates: s0\nlabels: a\ninit: s0\nfinal: s0 " + "1" * 5000 + "\n",
+            5, "out of range", id="final-5000-ones",
+        ),
         ("system m\nstates: s0\nlabels: a\ninit: s0\nfinal: s0\n", 5,
          "expected 'final: STATE DEGREE'"),
         ("system m\nstates: s0\nlabels: a\ninit: s0\nfinal: s1 1\n", 5,
