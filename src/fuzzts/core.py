@@ -42,7 +42,7 @@ class FuzzySet:
 
     __slots__ = ("universe", "_entries")
 
-    def __init__(self, universe: Iterable[str], entries: Mapping[str, Degree | str | int] = ()):
+    def __init__(self, universe: Iterable[str], entries: Mapping[str, Degree | str] = ()):
         universe = frozenset(universe)
         clean: dict[str, Degree] = {}
         for state, value in dict(entries).items():
@@ -124,7 +124,7 @@ class Fts:
         states: Iterable[str],
         labels: Iterable[str],
         init: str,
-        delta: Mapping[tuple[str, str], Mapping[str, Degree | str | int] | FuzzySet] = (),
+        delta: Mapping[tuple[str, str], Mapping[str, Degree | str] | FuzzySet] = (),
         name: str = "S",
     ):
         states = frozenset(check_ident("state", s) for s in states)
@@ -155,7 +155,7 @@ class Fts:
         states: Iterable[str],
         labels: Iterable[str],
         init: str,
-        triples: Iterable[tuple[str, str, Degree | str | int, str]],
+        triples: Iterable[tuple[str, str, Degree | str, str]],
         name: str = "S",
     ) -> "Fts":
         """Build and validate a system from (source, label, degree, target)

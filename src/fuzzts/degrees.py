@@ -76,16 +76,14 @@ ZERO = Degree(0)
 ONE = Degree(SCALE)
 
 
-def as_degree(value: "Degree | str | int") -> Degree:
-    """Coerce a degree literal, 0/1 int, or Degree to a Degree."""
+def as_degree(value: "Degree | str") -> Degree:
+    """Coerce a degree literal or a Degree to a Degree.
+
+    A plain ``int`` is rejected: ``Degree(1)`` stands for 10^-9, so reading
+    a bare 1 as the top degree would hide a numerator that lost its type.
+    """
     if isinstance(value, Degree):
         return value
     if isinstance(value, str):
         return Degree.parse(value)
-    if isinstance(value, int) and not isinstance(value, bool):
-        if value == 0:
-            return ZERO
-        if value == 1:
-            return ONE
-        raise DegreeError(f"integer degree must be 0 or 1, got {value}")
     raise DegreeError(f"cannot interpret {value!r} as a degree")

@@ -7,46 +7,55 @@ language of a state maps each word to the supremum of its reachability
 distribution; it is realized here as evaluation functions and bounded tables
 rather than a stored infinite object.
 
-Internally a distribution is a plain ``{state: numerator}`` dict of its
-nonzero entries.  Each public call first indexes the edges it can follow
-(the whole system's; for :func:`step`, those leaving the input's support)
-as ``(source, label) -> [(target, numerator)]``, so one step costs the
-edges leaving the distribution's support.  The index lives for one call
-and is not kept on the :class:`Fts`, so a system holds no extra memory.
-Max and min only ever pick one of their arguments, so every value
-reachable from a unit distribution is an edge degree or 1; results are
-turned back into :class:`Degree` values through a numerator -> degree map
-of exactly those values.
+Internally a distribution is a plain dict of its nonzero entries, and one
+private kernel, ``_advance``, steps it by a label over successor lists
+``(source, label) -> [(target, degree)]`` built for one call.  Max and min
+only ever pick one of their arguments, and a walk starts from :data:`ONE`,
+so every weight is one of the input :class:`Degree` values.
+
+Two kinds of walk use the kernel:
+
+* :func:`lang_table` and :func:`lang_equal_up_to` walk classes of k-step
+  bisimilarity, the rounds of :mod:`fuzzts.partition`.  All states of one
+  class of round k have the same supremum into each class of round k - 1
+  under each label, so the maxima of a step's result over the round-(k-1)
+  classes follow from the maxima of its input over the round-k classes.
+  For a bound L, the distribution after d labels is therefore kept as
+  ``{class: degree}`` over the classes of round L - d, a step follows the
+  class signatures into round L - d - 1, and the height, the word's
+  degree, is the same as on states.  :func:`lang_equal_up_to` walks the
+  joint rounds of both systems and skips a pair of class distributions as
+  soon as they are equal, since every extension then has equal degrees.
+* :func:`step`, :func:`delta_word`, :func:`lang_degree` and
+  :func:`accept_degree` walk states, ``{state: degree}``: their results
+  are per state or weigh final degrees, which bisimilarity does not keep.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from itertools import islice
+from typing import Hashable, Iterable, Sequence
 
 from .core import Fts, FuzzyAutomaton, FuzzySet, Word
-from .degrees import ONE, SCALE, ZERO, Degree
+from .degrees import ONE, ZERO, Degree
 from .errors import AlphabetError, UniverseError
+from .partition import rounds
 
-_Successors = dict[tuple[str, str], list[tuple[str, int]]]
+_Successors = dict[tuple[Hashable, Hashable], list[tuple[Hashable, Degree]]]
 
 
-def _index(
-    transitions: Iterable[tuple[str, str, Degree, str]],
-) -> tuple[_Successors, dict[int, Degree]]:
-    """The successor lists of ``transitions`` and a numerator -> degree map
-    of their degrees, 0 and 1."""
+def _index(transitions: Iterable[tuple[str, str, Degree, str]]) -> _Successors:
+    """The successor lists of ``transitions``."""
     succ: _Successors = {}
-    degree_of = {0: ZERO, SCALE: ONE}
     for source, label, degree, target in transitions:
-        succ.setdefault((source, label), []).append((target, degree.numerator))
-        degree_of[degree.numerator] = degree
-    return succ, degree_of
+        succ.setdefault((source, label), []).append((target, degree))
+    return succ
 
 
-def _advance(succ: _Successors, mu: dict[str, int], label: str) -> dict[str, int]:
-    """One step on numerators: best-over-sources min of the source weight
-    and the edge degree."""
-    nu: dict[str, int] = {}
+def _advance(succ: _Successors, mu: dict, label: Hashable) -> dict:
+    """One step: best-over-sources min of the source weight and the edge
+    degree."""
+    nu: dict = {}
     for source, weight in mu.items():
         for target, edge in succ.get((source, label), ()):
             reached = edge if edge < weight else weight  # min(weight, edge)
@@ -55,32 +64,52 @@ def _advance(succ: _Successors, mu: dict[str, int], label: str) -> dict[str, int
     return nu
 
 
-def _start(f: Fts, state: str) -> dict[str, int]:
-    """The unit distribution at ``state``, on numerators."""
+def _start(f: Fts, state: str) -> dict[str, Degree]:
+    """The unit distribution at ``state``."""
     if state not in f.states:
         raise UniverseError(f"unknown state {state!r}")
-    return {state: SCALE}
+    return {state: ONE}
 
 
-def _reach(f: Fts, state: str, word: Sequence[str]) -> tuple[dict[str, int], dict[int, Degree]]:
-    """The reachability distribution of ``word`` from ``state``, on
-    numerators, with the map back to degrees."""
+def _graded(
+    systems: Sequence[Fts], max_len: int
+) -> tuple[list[dict[str, int]], list[int], list[_Successors]]:
+    """The classes of the disjoint union of ``systems`` that a walk of up
+    to ``max_len`` labels needs.
+
+    Returns the state index, each state's class in round ``max_len``, and
+    ``levels``, where ``levels[k]`` takes the classes of round k to those of
+    round k - 1 under each label number.  Rounds are taken until
+    ``max_len`` or the stable one; every round past that repeats it, so
+    round k is served by ``levels[min(k, len(levels) - 1)]``.
+    """
+    index, history = rounds(systems)
+    n = sum(len(ids) for ids in index)
+    block = [0] * n
+    levels: list[_Successors] = [{}]
+    for block, numbers in islice(history, max_len):
+        succ: _Successors = {}
+        for source, (_, *items) in enumerate(numbers):
+            for key, sup in items:
+                label, target = divmod(key, n)
+                succ.setdefault((source, label), []).append((target, sup))
+        levels.append(succ)
+    return index, block, levels
+
+
+def _reach(f: Fts, state: str, word: Sequence[str]) -> dict[str, Degree]:
+    """The reachability distribution of ``word`` from ``state``."""
     mu = _start(f, state)
     word = f.check_word(word)
-    succ, degree_of = _index(f.transitions())
+    succ = _index(f.transitions())
     for label in word:
         mu = _advance(succ, mu, label)
-    return mu, degree_of
-
-
-def _fuzzy_set(f: Fts, mu: dict[str, int], degree_of: dict[int, Degree]) -> FuzzySet:
-    return FuzzySet(f.states, {state: degree_of[n] for state, n in mu.items()})
+    return mu
 
 
 def unit(f: Fts, state: str) -> FuzzySet:
     """The distribution concentrated on one state with degree 1."""
-    _start(f, state)
-    return FuzzySet(f.states, {state: ONE})
+    return FuzzySet(f.states, _start(f, state))
 
 
 def step(f: Fts, mu: FuzzySet, label: str) -> FuzzySet:
@@ -91,14 +120,12 @@ def step(f: Fts, mu: FuzzySet, label: str) -> FuzzySet:
     if label not in f.labels:
         raise UniverseError(f"unknown label {label!r}")
     entries = mu.items()
-    succ, degree_of = _index(
+    succ = _index(
         (source, label, edge, target)
         for source, _ in entries
         for target, edge in f.delta(source, label).items()
     )
-    degree_of.update((degree.numerator, degree) for _, degree in entries)
-    weights = {state: degree.numerator for state, degree in entries}
-    return _fuzzy_set(f, _advance(succ, weights, label), degree_of)
+    return FuzzySet(f.states, _advance(succ, dict(entries), label))
 
 
 def delta_word(f: Fts, state: str, word: Sequence[str]) -> FuzzySet:
@@ -107,14 +134,13 @@ def delta_word(f: Fts, state: str, word: Sequence[str]) -> FuzzySet:
     The empty word yields the unit distribution at ``state``; each further
     label folds one step.
     """
-    return _fuzzy_set(f, *_reach(f, state, word))
+    return FuzzySet(f.states, _reach(f, state, word))
 
 
 def lang_degree(f: Fts, state: str, word: Sequence[str]) -> Degree:
     """Degree of ``word`` in the fuzzy language of ``state``: the supremum of
     its reachability distribution."""
-    mu, degree_of = _reach(f, state, word)
-    return degree_of[max(mu.values(), default=0)]
+    return max(_reach(f, state, word).values(), default=ZERO)
 
 
 def lang_table(f: Fts, state: str, max_len: int) -> dict[Word, Degree]:
@@ -126,18 +152,20 @@ def lang_table(f: Fts, state: str, max_len: int) -> dict[Word, Degree]:
     """
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    labels = f.sorted_labels()
-    frontier: list[tuple[Word, dict[str, int]]] = [((), _start(f, state))]
-    succ, degree_of = _index(f.transitions())
+    _start(f, state)
+    index, block, levels = _graded((f,), max_len)
+    labels = list(enumerate(f.sorted_labels()))
+    frontier: list[tuple[Word, dict[int, Degree]]] = [((), {block[index[0][state]]: ONE})]
     table: dict[Word, Degree] = {(): ONE}
-    for _ in range(max_len):
-        next_frontier: list[tuple[Word, dict[str, int]]] = []
+    for left in range(max_len, 0, -1):
+        succ = levels[min(left, len(levels) - 1)]
+        next_frontier: list[tuple[Word, dict[int, Degree]]] = []
         for word, mu in frontier:
-            for label in labels:
+            for label, name in labels:
                 nu = _advance(succ, mu, label)
                 if nu:
-                    extended = word + (label,)
-                    table[extended] = degree_of[max(nu.values())]
+                    extended = word + (name,)
+                    table[extended] = max(nu.values())
                     next_frontier.append((extended, nu))
         frontier = next_frontier
     return table
@@ -146,11 +174,8 @@ def lang_table(f: Fts, state: str, max_len: int) -> dict[Word, Degree]:
 def accept_degree(m: FuzzyAutomaton, word: Sequence[str]) -> Degree:
     """Acceptance degree of a word: best min of reachability and final
     degree over all states."""
-    mu, degree_of = _reach(m.base, m.base.init, word)
-    return max(
-        (min(degree_of[weight], m.final(state)) for state, weight in mu.items()),
-        default=ZERO,
-    )
+    mu = _reach(m.base, m.base.init, word)
+    return max((min(weight, m.final(state)) for state, weight in mu.items()), default=ZERO)
 
 
 def lang_equal_up_to(
@@ -159,27 +184,29 @@ def lang_equal_up_to(
     """Exact agreement of the two fuzzy languages on every word of length
     <= ``max_len``.
 
-    Explores both systems in lockstep and prunes a word as soon as both
-    reachability distributions are empty (all longer extensions then have
-    degree zero on both sides).
+    Explores both systems in lockstep over the classes of their joint
+    rounds, and prunes a word as soon as both class distributions are equal
+    (all its extensions up to the bound then have equal degrees on both
+    sides).  Start states that are ``max_len``-step bisimilar are answered
+    at once.
     """
     if f1.labels != f2.labels:
         raise AlphabetError("label alphabets differ")
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
-    labels = sorted(f1.labels)
-    stack = [(0, _start(f1, s1), _start(f2, s2))]
-    succ1, _ = _index(f1.transitions())
-    succ2, _ = _index(f2.transitions())
+    _start(f1, s1)
+    _start(f2, s2)
+    index, block, levels = _graded((f1, f2), max_len)
+    labels = range(len(f1.labels))
+    stack = [(max_len, {block[index[0][s1]]: ONE}, {block[index[1][s2]]: ONE})]
     while stack:
-        depth, mu, nu = stack.pop()
-        if max(mu.values(), default=0) != max(nu.values(), default=0):
-            return False
-        if depth == max_len:
+        left, mu, nu = stack.pop()
+        if mu == nu:
             continue
-        for label in labels:
-            mu2 = _advance(succ1, mu, label)
-            nu2 = _advance(succ2, nu, label)
-            if mu2 or nu2:
-                stack.append((depth + 1, mu2, nu2))
+        if max(mu.values(), default=ZERO) != max(nu.values(), default=ZERO):
+            return False
+        if left:
+            succ = levels[min(left, len(levels) - 1)]
+            for label in labels:
+                stack.append((left - 1, _advance(succ, mu, label), _advance(succ, nu, label)))
     return True

@@ -31,6 +31,7 @@ from fuzzts import (
     self_bisimilarity,
     z_closure,
 )
+from fuzzts.partition import rounds
 
 
 def d(text):
@@ -409,6 +410,35 @@ class TestEngineAgainstRefinement:
             related_across += f1 is not f2 and bool(fix.pairs)
         # enough distinct systems share bisimilar states to exercise matching
         assert related_across >= 50
+
+    def test_round_k_equals_kth_refinement_iterate(self):
+        """Round k of the engine, restricted to S1 x S2, is the k-th iterate
+        of ``refine`` from the full product (k-step bisimilarity), up to and
+        past the fixed point.  The engine's last round splits no class and
+        keeps the previous round's class numbers, which is what lets deeper
+        rounds reuse it."""
+        pairs = list(_differential_pairs(random.Random(5318008)))
+        checks = long_traces = 0
+        for f1, f2 in pairs:
+            trace = iterate_refinement(f1, f2)
+            long_traces += len(trace) > 3
+            (left, right), history = rounds((f1, f2))
+            blocks = [[0] * (len(left) + len(right))] + [block for block, _ in history]
+            assert blocks[-1] == blocks[-2]
+            assert all(len(set(a)) < len(set(b)) for a, b in zip(blocks, blocks[1:-1]))
+            for k in range(1, max(len(trace), len(blocks)) + 2):
+                block = blocks[min(k, len(blocks) - 1)]
+                related = {
+                    (s, t)
+                    for s, i in left.items()
+                    for t, j in right.items()
+                    if block[i] == block[j]
+                }
+                expected = trace[min(k, len(trace) - 1)]
+                assert Relation(f1.states, f2.states, related) == expected, (f1, f2, k)
+                checks += 1
+        assert checks >= 2400
+        assert long_traces >= 250
 
 
 class TestEnumerateBruteforce:

@@ -81,8 +81,10 @@ def test_constructor_range():
 
 def test_as_degree():
     assert as_degree("0.3") == Degree.parse("0.3")
-    assert as_degree(0) == ZERO
-    assert as_degree(1) == ONE
+    with pytest.raises(DegreeError):
+        as_degree(0)
+    with pytest.raises(DegreeError):
+        as_degree(1)
     assert as_degree(ONE) is ONE
     with pytest.raises(DegreeError):
         as_degree(2)

@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -6,6 +7,7 @@ import helpers
 from fuzzts import (
     AlphabetError,
     Degree,
+    Fts,
     FuzzyAutomaton,
     FuzzySet,
     ONE,
@@ -19,6 +21,7 @@ from fuzzts import (
     step,
     unit,
 )
+from fuzzts.partition import rounds
 
 
 def d(text):
@@ -310,3 +313,107 @@ class TestAgainstOracles:
             assert lang_equal_up_to(f1, s1, f2, s2, max_len) == expected
             outcomes.append(expected)
         assert 0 < sum(outcomes) < len(outcomes)
+
+
+# ------------------------------------------ bounds against the class rounds
+
+
+def _chain(n, last="1", prefix="c"):
+    """n states on one a-path of degree-1 edges; the last edge has degree
+    ``last``."""
+    states = [f"{prefix}{i}" for i in range(n)]
+    triples = [(states[i], "a", "1", states[i + 1]) for i in range(n - 2)]
+    triples.append((states[n - 2], "a", last, states[n - 1]))
+    return Fts.from_triples(states, ["a"], states[0], triples)
+
+
+def _rounds_to_stability(*systems):
+    """The first round that splits no class of the one before, on the
+    disjoint union of ``systems``."""
+    return len(list(rounds(systems)[1]))
+
+
+class TestBoundEdges:
+    def test_lowered_last_edge_shows_first_at_full_length(self):
+        """Lowering a chain's last edge changes only the one word that
+        crosses every edge, of length n - 1; chains of n >= 2 put that
+        length at 1 up to 11, so max_len 0 and 1 are both edges here."""
+        for n in range(2, 13):
+            chain, lowered = _chain(n), _chain(n, last="0.5", prefix="d")
+            assert lang_equal_up_to(chain, "c0", lowered, "d0", n - 2)
+            assert not lang_equal_up_to(chain, "c0", lowered, "d0", n - 1)
+            assert not lang_equal_up_to(lowered, "d0", chain, "c0", n + 2)
+            for max_len in (n - 2, n - 1, n + 2):
+                table = lang_table(lowered, "d0", max_len)
+                expected = _lang_table_oracle(lowered, "d0", max_len)
+                assert list(table.items()) == list(expected.items())
+            word = ("a",) * (n - 1)
+            assert lang_table(chain, "c0", n - 1)[word] == ONE
+            assert lang_table(lowered, "d0", n - 1)[word] == d("0.5")
+
+    def test_zero_and_one_bounds_match_oracles(self):
+        rng = random.Random(6174)
+        outcomes = {0: [], 1: []}
+        for _ in range(150):
+            f1, f2 = helpers.random_pair(rng)
+            s1 = rng.choice(f1.sorted_states())
+            s2 = rng.choice(f2.sorted_states())
+            for max_len in (0, 1):
+                table1 = _lang_table_oracle(f1, s1, max_len)
+                expected = table1 == _lang_table_oracle(f2, s2, max_len)
+                assert lang_equal_up_to(f1, s1, f2, s2, max_len) == expected
+                outcomes[max_len].append(expected)
+                assert list(lang_table(f1, s1, max_len).items()) == list(table1.items())
+        assert all(outcomes[0])
+        assert 0 < sum(outcomes[1]) < len(outcomes[1])
+
+    def test_bounds_past_stability_reuse_the_last_round(self):
+        """Bounds well past the round where refinement stops splitting."""
+        rng = random.Random(1089)
+        past = 0
+        for _ in range(120):
+            f1, f2 = helpers.random_pair(rng)
+            s1 = rng.choice(f1.sorted_states())
+            s2 = rng.choice(f2.sorted_states())
+            # the union's rounds stabilize no earlier than f1's alone
+            max_len = _rounds_to_stability(f1, f2) + rng.randint(1, 3)
+            if max_len > 6:
+                continue
+            past += 1
+            table1 = _lang_table_oracle(f1, s1, max_len)
+            expected = table1 == _lang_table_oracle(f2, s2, max_len)
+            assert lang_equal_up_to(f1, s1, f2, s2, max_len) == expected
+            assert list(lang_table(f1, s1, max_len).items()) == list(table1.items())
+        assert past >= 60
+
+    def test_system_without_edges(self, choice_late):
+        silent = Fts.from_triples(["s0", "s1"], ["a", "b", "c"], "s0", [])
+        other = Fts.from_triples(["t0"], ["a", "b", "c"], "t0", [])
+        for max_len in (0, 1, 4):
+            assert lang_table(silent, "s1", max_len) == {(): ONE}
+            assert lang_equal_up_to(silent, "s0", other, "t0", max_len)
+            assert lang_equal_up_to(silent, "s0", silent, "s1", max_len)
+        assert lang_equal_up_to(silent, "s0", choice_late, "s0", 0)
+        assert not lang_equal_up_to(silent, "s0", choice_late, "s0", 1)
+        assert not lang_equal_up_to(choice_late, "s0", silent, "s1", 3)
+        assert lang_equal_up_to(choice_late, "s3", silent, "s1", 3)
+
+    def test_bisimilar_copy_long_bound_within_time(self):
+        """A dense 60-state system against an unperturbed 3-fold copy: the
+        start states are bisimilar, so a bound of 12 (4,096 words per side
+        on a state walk) is answered from the rounds."""
+        rng = random.Random(7)
+        g = helpers.random_fts(rng, 60, ["a", "b"])
+        big, _ = helpers.inflate(rng, g, 3, perturbed=False)
+
+        def out_of_time(signum, frame):
+            raise TimeoutError("lang_equal_up_to exceeded 1 s at length 12")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            equal = lang_equal_up_to(g, g.init, big, big.init, 12)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert equal
