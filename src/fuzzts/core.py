@@ -46,7 +46,7 @@ class FuzzySet:
         universe = frozenset(universe)
         clean: dict[str, Degree] = {}
         for state, value in dict(entries).items():
-            degree = as_degree(value)
+            degree = value if isinstance(value, Degree) else as_degree(value)
             if state not in universe:
                 raise UniverseError(f"state {state!r} outside universe")
             if degree:

@@ -14,6 +14,7 @@ form (``0``, ``1``, ``0.8``); arithmetic on degrees yields plain ``int``s.
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 
 from .errors import DegreeError
 
@@ -22,6 +23,35 @@ SCALE = 10**9
 
 # [0-9], not \d: \d also matches non-ASCII digits such as "\u0665" or "\uff11"
 _DECIMAL_RE = re.compile(r"([0-9]+)(?:\.([0-9]+))?")
+
+# `Degree.parse` remembers up to this many literals, least recently used
+# dropped first: model files repeat few distinct literals over many lines, so
+# a hit is the common case.  It remembers only literals up to the length
+# limit, because a valid literal may carry any number of leading zeros and
+# the limit bounds the cache's bytes as well as its entries.
+_PARSE_CACHE_SIZE = 4096
+_PARSE_CACHE_MAX_LEN = 64
+
+
+def _parse_literal(cls: type["Degree"], text: str) -> "Degree":
+    m = _DECIMAL_RE.fullmatch(text.strip())
+    if m is None:
+        raise DegreeError(f"not a decimal degree literal: {text!r}")
+    # leading zeros stripped, so a long literal never reaches int()
+    whole, frac = m.group(1).lstrip("0"), m.group(2) or ""
+    if len(frac) > 9:
+        raise DegreeError(
+            f"degree precision: {text!r} has more than 9 fractional digits"
+        )
+    if len(whole) > 1:
+        raise DegreeError(f"degree out of range: {text!r}")
+    numerator = int(whole or "0") * SCALE + int(frac.ljust(9, "0"))
+    if numerator > SCALE:
+        raise DegreeError(f"degree out of range: {text!r}")
+    return cls(numerator)
+
+
+_parse_cached = lru_cache(maxsize=_PARSE_CACHE_SIZE)(_parse_literal)
 
 
 class Degree(int):
@@ -42,22 +72,15 @@ class Degree(int):
 
         Rejects anything outside [0, 1] and literals with more than nine
         fractional digits (no silent rounding).
+
+        Literals of up to 64 characters are cached by text in a bounded LRU
+        cache of 4,096 entries, so equal text gives the same ``Degree``
+        object; longer ones are parsed on every call, and a rejected literal
+        is never cached and raises on every call.
         """
-        m = _DECIMAL_RE.fullmatch(text.strip())
-        if m is None:
-            raise DegreeError(f"not a decimal degree literal: {text!r}")
-        # leading zeros stripped, so a long literal never reaches int()
-        whole, frac = m.group(1).lstrip("0"), m.group(2) or ""
-        if len(frac) > 9:
-            raise DegreeError(
-                f"degree precision: {text!r} has more than 9 fractional digits"
-            )
-        if len(whole) > 1:
-            raise DegreeError(f"degree out of range: {text!r}")
-        numerator = int(whole or "0") * SCALE + int(frac.ljust(9, "0"))
-        if numerator > SCALE:
-            raise DegreeError(f"degree out of range: {text!r}")
-        return cls(numerator)
+        if len(text) <= _PARSE_CACHE_MAX_LEN:
+            return _parse_cached(cls, text)
+        return _parse_literal(cls, text)
 
     def __repr__(self):
         return f"Degree({str(self)!r})"

@@ -9,12 +9,16 @@ Model file layout::
     trans: SRC LABEL DEGREE DST
     final: STATE DEGREE
 
+A line ends at a line feed, a carriage return or the pair of them, and
+nowhere else: a form feed, NEL or U+2028 inside a comment does not end it.
 "#" starts a comment, blank lines are ignored, and exactly one each of the
-states/labels/init lines must appear before any line that uses them.  Any
-"final:" line turns the model into a FuzzyAutomaton.  Serialization is
-canonical: sorted states/labels/transitions/finals, minimal degree spelling,
-and only positive final degrees; parse(serialize(m)) == m except that an
-automaton whose final degrees are all zero collapses back to a plain system.
+states/labels/init lines must appear before any line that uses them.  Degree
+literals go through `Degree.parse`, which caches short ones, so a literal
+that a file repeats is parsed once.  Any "final:" line turns the model into a
+FuzzyAutomaton.  Serialization is canonical: sorted
+states/labels/transitions/finals, minimal degree spelling, and only positive
+final degrees; parse(serialize(m)) == m except that an automaton whose final
+degrees are all zero collapses back to a plain system.
 
 Relation files hold "rel: LEFT RIGHT" lines, map files "map: LEFT -> RIGHT"
 lines, resolved against externally supplied state sets.
@@ -22,21 +26,37 @@ lines, resolved against externally supplied state sets.
 
 from __future__ import annotations
 
+from collections import defaultdict
+
 from .algebra import StateMap
 from .core import Fts, FuzzyAutomaton, FuzzySet, Relation, check_ident
 from .degrees import Degree
 from .errors import DegreeError, ModelError, ParseError
 
 
-def _logical_lines(text: str):
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
+def _split_lines(text: str) -> list[str]:
+    """The lines of ``text``, ended only by "\\n", "\\r\\n" or "\\r": the
+    newlines ``open()`` translates.  A form feed, NEL or U+2028 stays inside
+    its line, where ``str.splitlines`` would end it."""
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    lines = text.split("\n")
+    if not lines[-1]:
+        lines.pop()
+    return lines
+
+
+def _logical_lines(lines: list[str]):
+    for lineno, raw in enumerate(lines, 1):
+        if "#" in raw:
+            raw = raw.split("#", 1)[0]
+        line = raw.strip()
         if line:
             yield lineno, line
 
 
-def _eof_line(text: str) -> int:
-    return max(1, len(text.splitlines()))
+def _eof_line(lines: list[str]) -> int:
+    return max(1, len(lines))
 
 
 def _ident(lineno: int, kind: str, token: str) -> str:
@@ -59,9 +79,10 @@ def parse_model(text: str) -> Fts | FuzzyAutomaton:
     states: frozenset[str] | None = None
     labels: frozenset[str] | None = None
     init = None
-    images: dict[tuple[str, str], dict[str, Degree]] = {}
+    images: defaultdict[tuple[str, str], dict[str, Degree]] = defaultdict(dict)
     finals: dict[str, Degree] = {}
-    for lineno, line in _logical_lines(text):
+    lines = _split_lines(text)
+    for lineno, line in _logical_lines(lines):
         if name is None:
             parts = line.split()
             if len(parts) != 2 or parts[0] != "system":
@@ -73,7 +94,26 @@ def parse_model(text: str) -> Fts | FuzzyAutomaton:
         if not sep or " " in directive:
             raise ParseError(lineno, "expected 'DIRECTIVE: ...'")
         tokens = rest.split()
-        if directive == "states":
+        # nearly every line is a transition, so it is tested first
+        if directive == "trans":
+            if states is None or labels is None:
+                raise ParseError(
+                    lineno, "'states:' and 'labels:' must come before 'trans:'"
+                )
+            if len(tokens) != 4:
+                raise ParseError(lineno, "expected 'trans: SRC LABEL DEGREE DST'")
+            src, label, degree_text, dst = tokens
+            if src not in states:
+                raise ParseError(lineno, f"unknown state {src!r}")
+            if label not in labels:
+                raise ParseError(lineno, f"unknown label {label!r}")
+            if dst not in states:
+                raise ParseError(lineno, f"unknown state {dst!r}")
+            entries = images[src, label]
+            if dst in entries:
+                raise ParseError(lineno, f"duplicate transition {src} {label} {dst}")
+            entries[dst] = _degree(lineno, degree_text)
+        elif directive == "states":
             if states is not None:
                 raise ParseError(lineno, "duplicate 'states:' line")
             if not tokens:
@@ -97,24 +137,6 @@ def parse_model(text: str) -> Fts | FuzzyAutomaton:
             if tokens[0] not in states:
                 raise ParseError(lineno, f"unknown state {tokens[0]!r}")
             init = tokens[0]
-        elif directive == "trans":
-            if states is None or labels is None:
-                raise ParseError(
-                    lineno, "'states:' and 'labels:' must come before 'trans:'"
-                )
-            if len(tokens) != 4:
-                raise ParseError(lineno, "expected 'trans: SRC LABEL DEGREE DST'")
-            src, label, degree_text, dst = tokens
-            if src not in states:
-                raise ParseError(lineno, f"unknown state {src!r}")
-            if label not in labels:
-                raise ParseError(lineno, f"unknown label {label!r}")
-            if dst not in states:
-                raise ParseError(lineno, f"unknown state {dst!r}")
-            entries = images.setdefault((src, label), {})
-            if dst in entries:
-                raise ParseError(lineno, f"duplicate transition {src} {label} {dst}")
-            entries[dst] = _degree(lineno, degree_text)
         elif directive == "final":
             if states is None:
                 raise ParseError(lineno, "'states:' must come before 'final:'")
@@ -128,7 +150,7 @@ def parse_model(text: str) -> Fts | FuzzyAutomaton:
             finals[state] = _degree(lineno, degree_text)
         else:
             raise ParseError(lineno, f"unknown directive {directive!r}")
-    end = _eof_line(text)
+    end = _eof_line(lines)
     if name is None:
         raise ParseError(end, "missing 'system NAME' header")
     if states is None:
@@ -165,7 +187,7 @@ def parse_relation(text: str, left, right) -> Relation:
     left = frozenset(left)
     right = frozenset(right)
     pairs = set()
-    for lineno, line in _logical_lines(text):
+    for lineno, line in _logical_lines(_split_lines(text)):
         tokens = line.split()
         if len(tokens) != 3 or tokens[0] != "rel:":
             raise ParseError(lineno, "expected 'rel: LEFT RIGHT'")
@@ -188,7 +210,8 @@ def parse_map(text: str, domain, codomain) -> StateMap:
     domain = frozenset(domain)
     codomain = frozenset(codomain)
     table: dict[str, str] = {}
-    for lineno, line in _logical_lines(text):
+    lines = _split_lines(text)
+    for lineno, line in _logical_lines(lines):
         tokens = line.split()
         if len(tokens) != 4 or tokens[0] != "map:" or tokens[2] != "->":
             raise ParseError(lineno, "expected 'map: LEFT -> RIGHT'")
@@ -203,7 +226,7 @@ def parse_map(text: str, domain, codomain) -> StateMap:
     missing = domain - set(table)
     if missing:
         raise ParseError(
-            _eof_line(text),
+            _eof_line(lines),
             f"map is not total (missing: {' '.join(sorted(missing))})",
         )
     return StateMap(table, domain, codomain)

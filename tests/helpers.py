@@ -3,15 +3,20 @@
 from __future__ import annotations
 
 import random
+import re
 
 from fuzzts import (
     Degree,
+    DegreeError,
     Fts,
     FuzzyAutomaton,
     FuzzySet,
+    ModelError,
     ONE,
+    ParseError,
     QuotientFts,
     Relation,
+    SCALE,
     StateMap,
     UniverseError,
     Verdict,
@@ -19,6 +24,7 @@ from fuzzts import (
     ZERO,
     decompose,
 )
+from fuzzts.core import check_ident
 
 # degree pool used by the random generators; "0" means "no edge"
 DEGREE_POOL = ("0", "0.3", "0.5", "0.8", "1")
@@ -510,3 +516,131 @@ def subsets(items):
     items = sorted(items)
     for mask in range(1 << len(items)):
         yield frozenset(x for i, x in enumerate(items) if mask >> i & 1)
+
+
+# ------------------------------------------------- model-file parsing oracles
+# The regex parser of degree literals without a cache, and the model-file
+# parser that splits lines with ``str.splitlines``, dispatches directives in
+# file order and checks every literal through that parser.  Line endings
+# other than "\n", "\r\n" and "\r" are where the library deliberately
+# differs: it does not end a line at a form feed, NEL or U+2028.
+
+_DECIMAL_ORACLE_RE = re.compile(r"([0-9]+)(?:\.([0-9]+))?")
+
+
+def degree_parse_oracle(text: str) -> Degree:
+    m = _DECIMAL_ORACLE_RE.fullmatch(text.strip())
+    if m is None:
+        raise DegreeError(f"not a decimal degree literal: {text!r}")
+    whole, frac = m.group(1).lstrip("0"), m.group(2) or ""
+    if len(frac) > 9:
+        raise DegreeError(
+            f"degree precision: {text!r} has more than 9 fractional digits"
+        )
+    if len(whole) > 1:
+        raise DegreeError(f"degree out of range: {text!r}")
+    numerator = int(whole or "0") * SCALE + int(frac.ljust(9, "0"))
+    if numerator > SCALE:
+        raise DegreeError(f"degree out of range: {text!r}")
+    return Degree(numerator)
+
+
+def parse_model_oracle(text: str) -> Fts | FuzzyAutomaton:
+    def ident(lineno, kind, token):
+        try:
+            return check_ident(kind, token)
+        except ModelError as err:
+            raise ParseError(lineno, str(err)) from None
+
+    def degree(lineno, token):
+        try:
+            return degree_parse_oracle(token)
+        except DegreeError as err:
+            raise ParseError(lineno, str(err)) from None
+
+    name = states = labels = init = None
+    images: dict[tuple[str, str], dict[str, Degree]] = {}
+    finals: dict[str, Degree] = {}
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if name is None:
+            parts = line.split()
+            if len(parts) != 2 or parts[0] != "system":
+                raise ParseError(lineno, "expected 'system NAME' header")
+            name = ident(lineno, "system name", parts[1])
+            continue
+        directive, sep, rest = line.partition(":")
+        directive = directive.strip()
+        if not sep or " " in directive:
+            raise ParseError(lineno, "expected 'DIRECTIVE: ...'")
+        tokens = rest.split()
+        if directive == "states":
+            if states is not None:
+                raise ParseError(lineno, "duplicate 'states:' line")
+            if not tokens:
+                raise ParseError(lineno, "no states")
+            if len(set(tokens)) != len(tokens):
+                raise ParseError(lineno, "duplicate state in 'states:' line")
+            states = frozenset(ident(lineno, "state", t) for t in tokens)
+        elif directive == "labels":
+            if labels is not None:
+                raise ParseError(lineno, "duplicate 'labels:' line")
+            if len(set(tokens)) != len(tokens):
+                raise ParseError(lineno, "duplicate label in 'labels:' line")
+            labels = frozenset(ident(lineno, "label", t) for t in tokens)
+        elif directive == "init":
+            if init is not None:
+                raise ParseError(lineno, "duplicate 'init:' line")
+            if states is None:
+                raise ParseError(lineno, "'states:' must come before 'init:'")
+            if len(tokens) != 1:
+                raise ParseError(lineno, "expected 'init: STATE'")
+            if tokens[0] not in states:
+                raise ParseError(lineno, f"unknown state {tokens[0]!r}")
+            init = tokens[0]
+        elif directive == "trans":
+            if states is None or labels is None:
+                raise ParseError(
+                    lineno, "'states:' and 'labels:' must come before 'trans:'"
+                )
+            if len(tokens) != 4:
+                raise ParseError(lineno, "expected 'trans: SRC LABEL DEGREE DST'")
+            src, label, degree_text, dst = tokens
+            if src not in states:
+                raise ParseError(lineno, f"unknown state {src!r}")
+            if label not in labels:
+                raise ParseError(lineno, f"unknown label {label!r}")
+            if dst not in states:
+                raise ParseError(lineno, f"unknown state {dst!r}")
+            entries = images.setdefault((src, label), {})
+            if dst in entries:
+                raise ParseError(lineno, f"duplicate transition {src} {label} {dst}")
+            entries[dst] = degree(lineno, degree_text)
+        elif directive == "final":
+            if states is None:
+                raise ParseError(lineno, "'states:' must come before 'final:'")
+            if len(tokens) != 2:
+                raise ParseError(lineno, "expected 'final: STATE DEGREE'")
+            state, degree_text = tokens
+            if state not in states:
+                raise ParseError(lineno, f"unknown state {state!r}")
+            if state in finals:
+                raise ParseError(lineno, f"duplicate final degree for {state!r}")
+            finals[state] = degree(lineno, degree_text)
+        else:
+            raise ParseError(lineno, f"unknown directive {directive!r}")
+    end = max(1, len(text.splitlines()))
+    if name is None:
+        raise ParseError(end, "missing 'system NAME' header")
+    if states is None:
+        raise ParseError(end, "missing 'states:' line")
+    if labels is None:
+        raise ParseError(end, "missing 'labels:' line")
+    if init is None:
+        raise ParseError(end, "missing 'init:' line")
+    base = Fts(states, labels, init, images, name=name)
+    if finals:
+        return FuzzyAutomaton(base, FuzzySet(states, finals))
+    return base

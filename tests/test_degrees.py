@@ -1,9 +1,12 @@
 import json
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
-from fuzzts import Degree, DegreeError, ONE, SCALE, ZERO, as_degree
+import helpers
+from fuzzts import Degree, DegreeError, FuzzySet, ONE, SCALE, ZERO, as_degree
+from fuzzts.degrees import _PARSE_CACHE_MAX_LEN, _parse_cached
 
 degrees = st.integers(min_value=0, max_value=SCALE).map(Degree)
 
@@ -159,3 +162,71 @@ def test_degree_is_its_numerator():
     assert type(d + d) is int
     assert f"{d}" == "0.8"
     assert repr(d) == "Degree('0.8')"
+
+
+class TestParseCache:
+    """`Degree.parse` remembers literals in a bounded cache."""
+
+    def test_equal_text_gives_the_same_degree(self):
+        for text in ("0.8", "1", "0", "0.123456789", " 0.5 ", "0" * 62 + ".5"):
+            first = Degree.parse(text)
+            assert Degree.parse(text) is first
+            assert type(first) is Degree
+        assert as_degree("0.37") is Degree.parse("0.37")
+        assert FuzzySet({"s"}, {"s": "0.37"})("s") is Degree.parse("0.37")
+
+    @pytest.mark.parametrize(
+        "text", ["1.1", "0.", ".5", "1.0000000001", "\u0665", "1" * 5000, "0" * 5000 + "2"],
+        ids=lambda t: ascii(t)[:20],
+    )
+    def test_a_bad_literal_raises_every_time(self, text):
+        messages = set()
+        for _ in range(3):
+            with pytest.raises(DegreeError) as err:
+                Degree.parse(text)
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    @pytest.mark.parametrize("zeros", [63, 5000])
+    def test_a_long_literal_is_not_kept(self, zeros):
+        """Leading zeros make a valid literal of any length; one longer than
+        the cut-off parses exactly but never enters the cache."""
+        text = "0" * zeros + ".5"
+        assert len(text) > _PARSE_CACHE_MAX_LEN
+        before = _parse_cached.cache_info()
+        for _ in range(3):
+            got = Degree.parse(text)
+            assert type(got) is Degree and got == SCALE // 2
+        after = _parse_cached.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+
+    def test_cache_stays_within_its_bound(self):
+        bound = _parse_cached.cache_info().maxsize
+        assert bound is not None
+        for i in range(bound + 500):
+            assert Degree.parse(f"0.{i:09d}") == i
+        assert _parse_cached.cache_info().currsize <= bound
+        # the earliest literals were dropped, and parse them again exactly
+        assert Degree.parse("0.000000001") == 1
+
+    def test_matches_the_uncached_parser(self):
+        """Value, type and error text equal those of the parser without a
+        cache, over valid and invalid literals, each parsed twice."""
+        rng = random.Random(7_115)
+        pieces = ["0", "1", "2", "9", ".", "5", "00", "-", " ", "e", "\u0665", ","]
+        literals = ["1", "0.5", " 0.5 ", "1.000000000", "0.000000001", "", ".5", "0."]
+        literals += ["".join(rng.choices(pieces, k=rng.randint(1, 12))) for _ in range(2000)]
+        literals += [f"0.{rng.randrange(10**9):09d}"[: rng.randint(2, 12)] for _ in range(500)]
+        outcomes = set()
+        for text in literals + literals:
+            try:
+                got = Degree.parse(text)
+            except DegreeError as err:
+                got = str(err)
+            try:
+                want = helpers.degree_parse_oracle(text)
+            except DegreeError as err:
+                want = str(err)
+            assert (type(got), got) == (type(want), want), text
+            outcomes.add(type(got))
+        assert outcomes == {Degree, str}

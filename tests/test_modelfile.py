@@ -284,3 +284,189 @@ def test_relation_file_round_trip_property(left, right, data):
 def test_map_file_round_trip_property(domain, codomain, data):
     fmap = StateMap({s: data.draw(st.sampled_from(codomain)) for s in domain}, domain, codomain)
     assert parse_map(serialize_map(fmap), domain, codomain) == fmap
+
+
+# ------------------------------------------------------------- line endings
+
+# characters str.splitlines() ends a line at, besides "\n" and "\r"
+NON_NEWLINE_SEPARATORS = ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"]
+
+
+@pytest.mark.parametrize("sep", NON_NEWLINE_SEPARATORS, ids=ascii)
+def test_separators_inside_comments_do_not_end_lines(sep, choice_late):
+    head = f"# a{sep}b\n"
+    assert parse_model(head + CHOICE_LATE_TEXT) == choice_late
+    tail = CHOICE_LATE_TEXT.replace("s1 b 0.8 s2", f"s1 b 0.8 s2  # c{sep}d")
+    assert parse_model(head + tail) == choice_late
+    with pytest.raises(ParseError) as err:
+        parse_model(head + tail + "trans: s0 a 0.5 zz\n")
+    assert str(err.value) == "line 9: unknown state 'zz'"
+    with pytest.raises(ParseError) as err:
+        parse_model(f"system m{sep}\nstates: s0\n")
+    assert str(err.value) == "line 2: missing 'labels:' line"
+
+
+@pytest.mark.parametrize("sep", NON_NEWLINE_SEPARATORS, ids=ascii)
+def test_separators_inside_relation_and_map_files(sep, skew_pair, dup_branch):
+    left, right, rel = skew_pair
+    head = f"# x{sep}y\n"
+    assert parse_relation(head + serialize_relation(rel), left.states, right.states) == rel
+    with pytest.raises(ParseError) as err:
+        parse_relation(head + "rel: zz t0\n", left.states, right.states)
+    assert err.value.line == 2
+    states = dup_branch.states
+    fmap = StateMap({s: "s0" for s in states}, states, states)
+    assert parse_map(head + serialize_map(fmap), states, states) == fmap
+    with pytest.raises(ParseError) as err:
+        parse_map(head + "map: s0 -> s0\n", states, states)
+    assert err.value.line == 2 and "not total" in err.value.message
+
+
+@pytest.mark.parametrize("newline", ["\n", "\r\n", "\r"], ids=ascii)
+def test_newlines_count_lines(newline, choice_late):
+    text = CHOICE_LATE_TEXT.replace("\n", newline)
+    assert parse_model(text) == choice_late
+    assert parse_model(text.rstrip(newline)) == choice_late
+    with pytest.raises(ParseError) as err:
+        parse_model(text + newline + "bogus: x" + newline)
+    assert str(err.value) == "line 9: unknown directive 'bogus'"
+    with pytest.raises(ParseError) as err:
+        parse_model(newline.join(["system m", "states: s0", "", ""]))
+    assert str(err.value) == "line 3: missing 'labels:' line"
+
+
+def test_separator_outside_a_comment_is_whitespace():
+    model = parse_model("system m\nstates: s0\fs1\nlabels: a\ninit: s1\n")
+    assert model.states == {"s0", "s1"}
+
+
+# ------------------------------------------- differential test of the parser
+
+def _outcome(parse, text):
+    """A parse's result as comparable data: the error text, or the model's
+    type, name and value."""
+    try:
+        model = parse(text)
+    except ParseError as err:
+        return "error", str(err)
+    base = model.base if isinstance(model, FuzzyAutomaton) else model
+    return type(model).__name__, base.name, model
+
+
+def _valid_model(rng: random.Random, i: int):
+    if i % 3 == 0:
+        return helpers.random_fts(rng, rng.randint(1, 6), ["a", "b"][: rng.randint(1, 2)])
+    if i % 3 == 1:
+        return helpers.inflated_hom_case(rng)[0]
+    return helpers.random_automaton(rng, rng.randint(1, 4), ["a", "b"])
+
+
+def _decorate(rng: random.Random, lines: list[str]) -> str:
+    """The same model with comments, blank lines, spacing around ':' and a
+    mix of newline conventions."""
+    out = []
+    for line in lines:
+        roll = rng.random()
+        if roll < 0.1:
+            out.append("# comment: trans: s0 a 1 s0")
+        elif roll < 0.2:
+            out.append(rng.choice(["", "   ", "\t"]))
+        if rng.random() < 0.3:
+            line = line.replace(":", rng.choice([" :", " : ", ":  "]), 1)
+        if rng.random() < 0.2:
+            line = "  " + line + "   # note #2"
+        out.append(line)
+    newline = rng.choice(["\n", "\r\n", "\r", None])
+    if newline is None:
+        return "".join(line + rng.choice(["\n", "\r\n", "\r"]) for line in out)
+    return newline.join(out) + rng.choice([newline, ""])
+
+
+BAD_LITERALS = [
+    "0.", ".5", "1.0000000001", "\u0665", "1" * 5000, "0" * 5000 + "2",
+    "0" * 4999 + "1", "1.1", "-0.1", "0.8000000001", "0,5", "1e-3", "\uff11",
+]
+
+
+def _mutate(rng: random.Random, kind: str, lines: list[str]) -> list[str] | None:
+    """One seeded mutation of a canonical model file's lines, or None when
+    the file has no line it applies to."""
+    lines = list(lines)
+    directive = list(range(1, len(lines)))
+    uses = [i for i in directive if lines[i].split(":")[0] in ("trans", "init", "final")]
+    if kind == "missing-token":
+        i = rng.choice([0] + directive)
+        tokens = lines[i].split(" ")
+        if len(tokens) < 2:
+            return None
+        del tokens[rng.randrange(1, len(tokens))]
+        lines[i] = " ".join(tokens)
+    elif kind == "extra-token":
+        i = rng.choice([0] + [j for j in directive if not lines[j].startswith(("states", "labels"))])
+        lines[i] += " extra"
+    elif kind == "unknown-name":
+        if not uses:
+            return None
+        i = rng.choice(uses)
+        tokens = lines[i].split(" ")
+        slots = [j for j, t in enumerate(tokens[1:], 1) if not t[:1].isdigit()]
+        tokens[rng.choice(slots)] = "zz"
+        lines[i] = " ".join(tokens)
+    elif kind == "duplicate-line":
+        i = rng.choice(directive)
+        lines.insert(rng.randrange(i + 1, len(lines) + 1), lines[i])
+    elif kind == "directive-order":
+        if not uses:
+            return None
+        i = rng.choice(uses)
+        lines.insert(rng.choice([1, 2]), lines.pop(i))
+    elif kind == "bad-literal":
+        degree_lines = [i for i in uses if not lines[i].startswith("init")]
+        if not degree_lines:
+            return None
+        i = rng.choice(degree_lines)
+        tokens = lines[i].split(" ")
+        tokens[3 if tokens[0] == "trans:" else 2] = rng.choice(BAD_LITERALS)
+        lines[i] = " ".join(tokens)
+    elif kind == "header-and-directive":
+        i = rng.choice([0] + directive)
+        if rng.random() < 0.7:
+            lines[i] = rng.choice(["bogus: x", "just words", "system", "trans s0 a 1 s0", ""])
+        else:
+            lines[i] = lines[i].replace(":", ";")
+    return lines
+
+
+MUTATIONS = ("missing-token", "extra-token", "unknown-name", "duplicate-line",
+             "directive-order", "bad-literal", "header-and-directive")
+
+
+class TestAgainstReferenceParser:
+    """`parse_model` against `helpers.parse_model_oracle`, the parser that
+    dispatched directives in file order and parsed every literal afresh:
+    both give an equal model, or the identical `ParseError` text."""
+
+    def test_valid_files(self):
+        rng = random.Random(20_240)
+        kinds = set()
+        for i in range(240):
+            text = _decorate(rng, serialize_model(_valid_model(rng, i)).splitlines())
+            outcome = _outcome(parse_model, text)
+            assert outcome == _outcome(helpers.parse_model_oracle, text), text
+            kinds.add(outcome[0])
+        assert kinds == {"Fts", "FuzzyAutomaton"}
+
+    @pytest.mark.parametrize("kind", MUTATIONS)
+    def test_broken_files(self, kind):
+        rng = random.Random(f"mutation-{kind}")
+        errors = []
+        for i in range(60):
+            lines = _mutate(rng, kind, serialize_model(_valid_model(rng, i)).splitlines())
+            if lines is None:
+                continue
+            text = _decorate(rng, lines)
+            outcome = _outcome(parse_model, text)
+            assert outcome == _outcome(helpers.parse_model_oracle, text), text
+            if outcome[0] == "error":
+                errors.append(outcome[1])
+        assert len(errors) >= 20
