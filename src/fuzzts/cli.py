@@ -4,7 +4,8 @@ Exit codes: 0 = success / property holds, 1 = property fails (witness
 printed), 2 = usage or input error.  All output is deterministic; --json
 switches every command to a versioned machine-readable report.
 
-Each command is one handler.  It takes the parsed arguments and returns the
+Each command is one handler, bound to its subcommand where the parser
+declares it.  A handler takes the parsed arguments and returns the
 JSON ``inputs``, the further JSON fields, the text lines and the exit code;
 :func:`run` prints the report.  Handlers look the library functions up as
 module globals when they run, so a caller that replaces one of them here
@@ -56,8 +57,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def command(name: str, help_text: str) -> argparse.ArgumentParser:
+    def command(name: str, help_text: str, handler) -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(handler=handler)
         # accept --json after the subcommand as well
         p.add_argument(
             "--json", action="store_true", default=argparse.SUPPRESS,
@@ -65,58 +67,58 @@ def _build_parser() -> argparse.ArgumentParser:
         )
         return p
 
-    p = command("validate", "parse a model file and report its shape")
+    p = command("validate", "parse a model file and report its shape", _validate)
     p.add_argument("model")
 
-    p = command("lang", "degree of one word in a state's fuzzy language")
+    p = command("lang", "degree of one word in a state's fuzzy language", _lang)
     p.add_argument("model")
     p.add_argument("--state", help="source state (default: initial state)")
     p.add_argument("--word", required=True, help="space-separated labels, '-' for the empty word")
-    p = command("lang-table", "all word degrees up to a length bound")
+    p = command("lang-table", "all word degrees up to a length bound", _lang_table)
     p.add_argument("model")
     p.add_argument("--state", help="source state (default: initial state)")
     p.add_argument("--max-len", type=int, required=True)
 
-    p = command("accept", "acceptance degree of a word (final degrees required)")
+    p = command("accept", "acceptance degree of a word (final degrees required)", _accept)
     p.add_argument("model")
     p.add_argument("--word", required=True)
 
-    p = command("check-bisim", "check a relation between two systems")
+    p = command("check-bisim", "check a relation between two systems", _check_bisim)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--relation", required=True)
     p.add_argument("--strong", action="store_true", help="per-transition matching check")
     p.add_argument("--naive", action="store_true", help="subset-enumeration oracle (small systems)")
 
-    p = command("bisimilar", "decide bisimilarity of the two initial states")
+    p = command("bisimilar", "decide bisimilarity of the two initial states", _bisimilar)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--print-relation", action="store_true")
 
-    p = command("minimize", "quotient by self-bisimilarity")
+    p = command("minimize", "quotient by self-bisimilarity", _minimize)
     p.add_argument("model")
     p.add_argument("-o", "--output", required=True)
 
-    p = command("compose", "parallel composition")
+    p = command("compose", "parallel composition", _compose)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("-o", "--output", required=True)
 
-    p = command("quotient", "quotient by an equivalence relation")
+    p = command("quotient", "quotient by an equivalence relation", _quotient)
     p.add_argument("model")
     p.add_argument("--relation", required=True)
     p.add_argument("-o", "--output", required=True)
 
-    p = command("subsystem", "is the first system a subsystem of the second")
+    p = command("subsystem", "is the first system a subsystem of the second", _subsystem)
     p.add_argument("left")
     p.add_argument("right")
 
-    p = command("hom-check", "check a state map for the homomorphism property")
+    p = command("hom-check", "check a state map for the homomorphism property", _hom_check)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--map", required=True)
 
-    p = command("hom-image", "subsystem carried by a homomorphism's image")
+    p = command("hom-image", "subsystem carried by a homomorphism's image", _hom_image)
     p.add_argument("left")
     p.add_argument("right")
     p.add_argument("--map", required=True)
@@ -356,22 +358,6 @@ def _hom_image(args):
     return (inputs, *_wrote(args.output, image))
 
 
-_HANDLERS = {
-    "validate": _validate,
-    "lang": _lang,
-    "lang-table": _lang_table,
-    "accept": _accept,
-    "check-bisim": _check_bisim,
-    "bisimilar": _bisimilar,
-    "minimize": _minimize,
-    "compose": _compose,
-    "quotient": _quotient,
-    "subsystem": _subsystem,
-    "hom-check": _hom_check,
-    "hom-image": _hom_image,
-}
-
-
 def run(argv=None) -> int:
     """Parse arguments, run the command's handler, print its report and
     return the exit code."""
@@ -380,7 +366,7 @@ def run(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        inputs, fields, lines, code = _HANDLERS[args.command](args)
+        inputs, fields, lines, code = args.handler(args)
     except FtsError as err:
         print(f"error: {err}", file=sys.stderr)
         return 2

@@ -109,7 +109,8 @@ class Fts:
     The transition function maps each (state, label) to a possibility
     distribution over target states; pairs that can fire nothing map to the
     all-zero distribution and are simply not stored.  The ``name`` is file
-    metadata only and takes no part in equality.
+    metadata only and takes no part in equality; it must be an identifier,
+    as the model file's ``system NAME`` header requires.
 
     ``delta`` gives each (state, label) image as its (target, degree)
     entries: a dict, or a ``FuzzySet`` read through ``items()``.  Each image
@@ -129,6 +130,7 @@ class Fts:
     ):
         states = frozenset(check_ident("state", s) for s in states)
         labels = frozenset(check_ident("label", a) for a in labels)
+        check_ident("system name", name)
         if not states:
             raise ModelError("no states")
         if init not in states:
@@ -430,16 +432,14 @@ def members(class_of: Mapping[str, Hashable]) -> dict[Hashable, list[str]]:
 class BlockDecomposition:
     """Connected components of a relation's bipartite graph.
 
-    ``blocks`` are (left part, right part) pairs ordered by least left state;
-    ``left_outside``/``right_outside`` are the states carrying no relation
-    edge at all.  Together they generate every correlational pair of the
-    relation: a pair (U, V) is correlational exactly when U and V consist of
-    the two sides of one set of blocks plus arbitrary outside states.
+    ``blocks`` are (left part, right part) pairs ordered by least left state.
+    With the states carrying no relation edge at all, they generate every
+    correlational pair of the relation: a pair (U, V) is correlational
+    exactly when U and V consist of the two sides of one set of blocks plus
+    arbitrary such outside states.
     """
 
     blocks: tuple[tuple[frozenset[str], frozenset[str]], ...]
-    left_outside: frozenset[str]
-    right_outside: frozenset[str]
 
 
 def decompose(relation: Relation) -> BlockDecomposition:
@@ -473,11 +473,7 @@ def decompose(relation: Relation) -> BlockDecomposition:
         (frozenset(u), frozenset(v))
         for u, v in sorted(groups.values(), key=lambda g: min(g[0]))
     )
-    return BlockDecomposition(
-        blocks=blocks,
-        left_outside=relation.left_universe - relation.proj_left(),
-        right_outside=relation.right_universe - relation.proj_right(),
-    )
+    return BlockDecomposition(blocks=blocks)
 
 
 def is_correlational(relation: Relation, left: Iterable[str], right: Iterable[str]) -> bool:

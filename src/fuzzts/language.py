@@ -8,51 +8,46 @@ distribution; it is realized here as evaluation functions and bounded tables
 rather than a stored infinite object.
 
 Internally a distribution is a plain dict of its nonzero entries, and one
-private kernel, ``_advance``, steps it by a label over successor lists
-``(source, label) -> [(target, degree)]`` built for one call.  Max and min
-only ever pick one of their arguments, and a walk starts from :data:`ONE`,
-so every weight is one of the input :class:`Degree` values.
+private kernel, ``_advance``, steps it by a label over successor entries
+``(source, label) -> [(target, degree)]``.  Max and min only ever pick one
+of their arguments, and a walk starts from :data:`ONE`, so every weight is
+one of the input :class:`Degree` values.
 
 Two kinds of walk use the kernel:
 
 * :func:`lang_table` and :func:`lang_equal_up_to` walk classes of k-step
-  bisimilarity, the rounds of :mod:`fuzzts.partition`.  All states of one
-  class of round k have the same supremum into each class of round k - 1
-  under each label, so the maxima of a step's result over the round-(k-1)
-  classes follow from the maxima of its input over the round-k classes.
-  For a bound L, the distribution after d labels is therefore kept as
-  ``{class: degree}`` over the classes of round L - d, a step follows the
-  class signatures into round L - d - 1, and the height, the word's
-  degree, is the same as on states.  :func:`lang_equal_up_to` walks the
-  joint rounds of both systems and skips a pair of class distributions as
-  soon as they are equal, since every extension then has equal degrees.
+  bisimilarity, as :func:`fuzzts.partition.graded` gives them; that module
+  alone reads the engine's signatures.  All states of one class of round k
+  have the same supremum into each class of round k - 1 under each label,
+  so the maxima of a step's result over the round-(k-1) classes follow from
+  the maxima of its input over the round-k classes.  For a bound L, the
+  distribution after d labels is therefore kept as ``{class: degree}`` over
+  the classes of round L - d, a step follows ``level(L - d)`` into round
+  L - d - 1, and the height, the word's degree, is the same as on states.
+  :func:`lang_equal_up_to` walks the joint rounds of both systems and skips
+  a pair of class distributions as soon as they are equal, since every
+  extension then has equal degrees.
 * :func:`step`, :func:`delta_word`, :func:`lang_degree` and
   :func:`accept_degree` walk states, ``{state: degree}``: their results
   are per state or weigh final degrees, which bisimilarity does not keep.
+  Each step, ``_step``, reads the images ``f.delta(source, label)`` of the
+  sources in the distribution's support only, so a word costs the edges
+  leaving its distributions' supports.
 """
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Hashable, Iterable, Sequence
+from typing import Hashable, Sequence
 
 from .core import Fts, FuzzyAutomaton, FuzzySet, Word
 from .degrees import ONE, ZERO, Degree
 from .errors import AlphabetError, UniverseError
-from .partition import rounds
+from .partition import graded
 
-_Successors = dict[tuple[Hashable, Hashable], list[tuple[Hashable, Degree]]]
-
-
-def _index(transitions: Iterable[tuple[str, str, Degree, str]]) -> _Successors:
-    """The successor lists of ``transitions``."""
-    succ: _Successors = {}
-    for source, label, degree, target in transitions:
-        succ.setdefault((source, label), []).append((target, degree))
-    return succ
+_Successors = dict[tuple[Hashable, str], list[tuple[Hashable, Degree]]]
 
 
-def _advance(succ: _Successors, mu: dict, label: Hashable) -> dict:
+def _advance(succ: _Successors, mu: dict, label: str) -> dict:
     """One step: best-over-sources min of the source weight and the edge
     degree."""
     nu: dict = {}
@@ -64,6 +59,13 @@ def _advance(succ: _Successors, mu: dict, label: Hashable) -> dict:
     return nu
 
 
+def _step(f: Fts, mu: dict[str, Degree], label: str) -> dict[str, Degree]:
+    """One step over the states of ``f``, reading the images of the
+    support's states only."""
+    images = {(source, label): f.delta(source, label).items() for source in mu}
+    return _advance(images, mu, label)
+
+
 def _start(f: Fts, state: str) -> dict[str, Degree]:
     """The unit distribution at ``state``."""
     if state not in f.states:
@@ -71,39 +73,11 @@ def _start(f: Fts, state: str) -> dict[str, Degree]:
     return {state: ONE}
 
 
-def _graded(
-    systems: Sequence[Fts], max_len: int
-) -> tuple[list[dict[str, int]], list[int], list[_Successors]]:
-    """The classes of the disjoint union of ``systems`` that a walk of up
-    to ``max_len`` labels needs.
-
-    Returns the state index, each state's class in round ``max_len``, and
-    ``levels``, where ``levels[k]`` takes the classes of round k to those of
-    round k - 1 under each label number.  Rounds are taken until
-    ``max_len`` or the stable one; every round past that repeats it, so
-    round k is served by ``levels[min(k, len(levels) - 1)]``.
-    """
-    index, history = rounds(systems)
-    n = sum(len(ids) for ids in index)
-    block = [0] * n
-    levels: list[_Successors] = [{}]
-    for block, numbers in islice(history, max_len):
-        succ: _Successors = {}
-        for source, (_, *items) in enumerate(numbers):
-            for key, sup in items:
-                label, target = divmod(key, n)
-                succ.setdefault((source, label), []).append((target, sup))
-        levels.append(succ)
-    return index, block, levels
-
-
 def _reach(f: Fts, state: str, word: Sequence[str]) -> dict[str, Degree]:
     """The reachability distribution of ``word`` from ``state``."""
     mu = _start(f, state)
-    word = f.check_word(word)
-    succ = _index(f.transitions())
-    for label in word:
-        mu = _advance(succ, mu, label)
+    for label in f.check_word(word):
+        mu = _step(f, mu, label)
     return mu
 
 
@@ -119,13 +93,7 @@ def step(f: Fts, mu: FuzzySet, label: str) -> FuzzySet:
         raise UniverseError("distribution ranges over the wrong universe")
     if label not in f.labels:
         raise UniverseError(f"unknown label {label!r}")
-    entries = mu.items()
-    succ = _index(
-        (source, label, edge, target)
-        for source, _ in entries
-        for target, edge in f.delta(source, label).items()
-    )
-    return FuzzySet(f.states, _advance(succ, dict(entries), label))
+    return FuzzySet(f.states, _step(f, dict(mu.items()), label))
 
 
 def delta_word(f: Fts, state: str, word: Sequence[str]) -> FuzzySet:
@@ -153,18 +121,18 @@ def lang_table(f: Fts, state: str, max_len: int) -> dict[Word, Degree]:
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     _start(f, state)
-    index, block, levels = _graded((f,), max_len)
-    labels = list(enumerate(f.sorted_labels()))
+    index, block, level = graded((f,), max_len)
+    labels = f.sorted_labels()
     frontier: list[tuple[Word, dict[int, Degree]]] = [((), {block[index[0][state]]: ONE})]
     table: dict[Word, Degree] = {(): ONE}
     for left in range(max_len, 0, -1):
-        succ = levels[min(left, len(levels) - 1)]
+        succ = level(left)
         next_frontier: list[tuple[Word, dict[int, Degree]]] = []
         for word, mu in frontier:
-            for label, name in labels:
+            for label in labels:
                 nu = _advance(succ, mu, label)
                 if nu:
-                    extended = word + (name,)
+                    extended = word + (label,)
                     table[extended] = max(nu.values())
                     next_frontier.append((extended, nu))
         frontier = next_frontier
@@ -196,8 +164,8 @@ def lang_equal_up_to(
         raise ValueError("max_len must be >= 0")
     _start(f1, s1)
     _start(f2, s2)
-    index, block, levels = _graded((f1, f2), max_len)
-    labels = range(len(f1.labels))
+    index, block, level = graded((f1, f2), max_len)
+    labels = f1.sorted_labels()
     stack = [(max_len, {block[index[0][s1]]: ONE}, {block[index[1][s2]]: ONE})]
     while stack:
         left, mu, nu = stack.pop()
@@ -206,7 +174,7 @@ def lang_equal_up_to(
         if max(mu.values(), default=ZERO) != max(nu.values(), default=ZERO):
             return False
         if left:
-            succ = levels[min(left, len(levels) - 1)]
+            succ = level(left)
             for label in labels:
                 stack.append((left - 1, _advance(succ, mu, label), _advance(succ, nu, label)))
     return True

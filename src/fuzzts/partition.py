@@ -12,76 +12,115 @@ become ints, and each state gets a list of out-edges with their degrees
 (a :class:`Degree` is an ``int``, so it is compared as it is).  Round k
 then gives a state the signature
 
-    (its class in round k-1, {(label, target class in round k-1) -> max degree})
+    {(label, target class in round k-1) -> max degree}
 
-kept with the map's items in sorted order, and makes the states of equal
-signature one class (Kanellakis & Smolka 1990).  Round 0 is a single class;
-since a signature carries the previous class, each round can only split
-classes, and the first round that splits none has reached the fixed point.
+kept as the map's items in sorted order, and makes the states of equal
+signature one class (Kanellakis & Smolka 1990).  Round 0 is a single class.
+The signature leaves out the state's own class in round k-1 because that
+class is already fixed by it.  Round k-1 refines round k-2 (by induction),
+so every class of round k-2 is a union of classes of round k-1, and the
+suprema into the round-(k-1) classes fix the suprema into the round-(k-2)
+classes: the state's round-(k-1) signature, and with it its round-(k-1)
+class.  Each round can therefore only split classes, and the first round
+that splits none has reached the fixed point.  A round takes time about
+linear in the states plus edges, and there are at most as many rounds as
+states.
+
 The classes of round k are k-step bisimilarity, so states that share one
-give every word of length <= k the same degree; :mod:`fuzzts.language`
-walks words over these classes instead of over states.  A round takes
-time about linear in the states plus edges, and there are at most as many
-rounds as states.
+give every word of length <= k the same degree.  :func:`graded` hands
+the rounds to :mod:`fuzzts.language` as successor maps between classes, and
+that module walks words over classes instead of over states.  This module
+is the only one that reads a signature.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, Sequence
+from itertools import islice
+from typing import Callable, Iterator, Sequence
 
 from .core import Fts
+from .degrees import Degree
 
-#: One round: each state's class, and each class's signature -> its number.
-Round = tuple[list[int], dict[tuple, int]]
+#: A round's successor map: ``(class, label) -> [(class one round earlier, sup)]``.
+Level = dict[tuple[int, str], list[tuple[int, Degree]]]
 
 
-def rounds(systems: Sequence[Fts]) -> tuple[list[dict[str, int]], Iterator[Round]]:
-    """The state index of the disjoint union of ``systems`` and its rounds.
-
-    The index gives one ``{state: int}`` dict per system, numbering the n
-    states of the union 0..n-1.  The iterator yields rounds 1, 2, ..., each
-    as ``(block, numbers)``: ``block[i]`` is the class of state i, and the
-    keys of ``numbers``, in insertion order, are the signatures of classes
-    0, 1, ....  A signature is the previous class followed by
-    ``(label * n + target class, supremum)`` items in key order, so its items
-    are grouped by label, with labels numbered in sorted order.
-
-    Classes are numbered by first appearance in state order, so the first
-    round that splits no class repeats the previous round's numbers, and so
-    would every round after it.  The iterator ends with that stable round.
-    """
+def _union(systems: Sequence[Fts]) -> tuple[list[dict[str, int]], list[str], list[list[tuple]]]:
+    """The state index of the disjoint union of ``systems``, its labels in
+    sorted order, and each state's out-edges ``(label * n, target,
+    degree)``, with n the union's state count."""
     index: list[dict[str, int]] = []
     n = 0
     for f in systems:
         index.append({s: n + i for i, s in enumerate(f.states)})
         n += len(f.states)
-    label_of = {a: i for i, a in enumerate(sorted({a for f in systems for a in f.labels}))}
-    edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]  # (label * n, target, degree)
+    names = sorted({a for f in systems for a in f.labels})
+    label_of = {a: i * n for i, a in enumerate(names)}
+    edges: list[list[tuple[int, int, int]]] = [[] for _ in range(n)]
     for f, ids in zip(systems, index):
         for source, label, degree, target in f.transitions():
-            edges[ids[source]].append((label_of[label] * n, ids[target], degree))
-    return index, _refine(edges)
+            edges[ids[source]].append((label_of[label], ids[target], degree))
+    return index, names, edges
 
 
-def _refine(edges: list[list[tuple[int, int, int]]]) -> Iterator[Round]:
+def _rounds(edges: list[list[tuple[int, int, int]]]) -> Iterator[tuple[list[int], dict[tuple, int]]]:
+    """Rounds 1, 2, ... as ``(block, numbers)``: ``block[i]`` is the class of
+    state i, and the keys of ``numbers``, in insertion order, are the
+    signatures of classes 0, 1, ..., each a tuple of ``(label * n + target
+    class, supremum)`` items in key order.
+
+    Classes are numbered by first appearance in state order, so the first
+    round that splits no class repeats the previous round's numbers, and so
+    would every round after it.  The iterator ends with that stable round.
+    """
     block = [0] * len(edges)
     count = 1
     while True:
         numbers: dict[tuple, int] = {}
         refined = []
-        for state, out in enumerate(edges):
+        for out in edges:
             sups: dict[int, int] = {}
             for key, target, degree in out:
                 key += block[target]
                 if sups.get(key, 0) < degree:
                     sups[key] = degree
-            signature = (block[state], *sorted(sups.items()))
+            signature = tuple(sorted(sups.items()))
             refined.append(numbers.setdefault(signature, len(numbers)))
         block = refined
         yield block, numbers
         if len(numbers) == count:
             return
         count = len(numbers)
+
+
+def graded(
+    systems: Sequence[Fts], depth: int
+) -> tuple[list[dict[str, int]], list[int], Callable[[int], Level]]:
+    """The classes of the disjoint union of ``systems`` that a walk of up
+    to ``depth`` labels needs.
+
+    Returns three things.  The state index gives one ``{state: int}`` dict
+    per system, numbering the n states of the union 0..n-1.  ``block[i]`` is
+    the class of state i in round ``depth``, or in the stable round if
+    refinement stops splitting before it.  ``level(k)``, for 1 <= k <=
+    ``depth``, is round k's successor map ``(class, label) -> [(class in
+    round k - 1, supremum)]``; past the stable round it returns the stable
+    round's map, since every later round repeats it.  Round 0 is the single
+    class 0.
+    """
+    index, names, edges = _union(systems)
+    n = len(edges)
+    block = [0] * n
+    levels: list[Level] = [{}]
+    for block, numbers in islice(_rounds(edges), depth):
+        succ: Level = {}
+        for source, signature in enumerate(numbers):
+            for key, sup in signature:
+                label, target = divmod(key, n)
+                succ.setdefault((source, names[label]), []).append((target, sup))
+        levels.append(succ)
+    last = len(levels) - 1
+    return index, block, lambda k: levels[min(k, last)]
 
 
 def coarsest_partition(systems: Sequence[Fts]) -> list[dict[str, int]]:
@@ -91,7 +130,7 @@ def coarsest_partition(systems: Sequence[Fts]) -> list[dict[str, int]]:
     Two states, of the same system or of different ones, are bisimilar
     exactly when they get the same class number.
     """
-    index, history = rounds(systems)
-    for block, _ in history:
+    index, _, edges = _union(systems)
+    for block, _ in _rounds(edges):
         pass
     return [{s: block[i] for s, i in ids.items()} for ids in index]

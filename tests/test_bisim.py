@@ -31,7 +31,7 @@ from fuzzts import (
     self_bisimilarity,
     z_closure,
 )
-from fuzzts.partition import rounds
+from fuzzts.partition import graded
 
 
 def d(text):
@@ -414,20 +414,29 @@ class TestEngineAgainstRefinement:
     def test_round_k_equals_kth_refinement_iterate(self):
         """Round k of the engine, restricted to S1 x S2, is the k-th iterate
         of ``refine`` from the full product (k-step bisimilarity), up to and
-        past the fixed point.  The engine's last round splits no class and
-        keeps the previous round's class numbers, which is what lets deeper
-        rounds reuse it."""
+        past the fixed point.  Each round before the stable one splits a
+        class; the stable round splits none and keeps the previous round's
+        class numbers, and every deeper round repeats it."""
         pairs = list(_differential_pairs(random.Random(5318008)))
         checks = long_traces = 0
         for f1, f2 in pairs:
             trace = iterate_refinement(f1, f2)
             long_traces += len(trace) > 3
-            (left, right), history = rounds((f1, f2))
-            blocks = [[0] * (len(left) + len(right))] + [block for block, _ in history]
-            assert blocks[-1] == blocks[-2]
-            assert all(len(set(a)) < len(set(b)) for a, b in zip(blocks, blocks[1:-1]))
-            for k in range(1, max(len(trace), len(blocks)) + 2):
-                block = blocks[min(k, len(blocks) - 1)]
+            # refinement splits at most n - 1 times, so round n is stable
+            n = len(f1.states) + len(f2.states)
+            (left, right), _, _ = graded((f1, f2), 0)
+            blocks = []
+            for k in range(n + 2):
+                blocks.append(graded((f1, f2), k)[1])
+                if k and blocks[k] == blocks[k - 1]:
+                    break
+            stable = len(blocks) - 1
+            assert blocks[0] == [0] * n and blocks[stable] == blocks[stable - 1]
+            deeper = range(stable + 1, max(len(trace), stable + 1) + 2)
+            blocks += [graded((f1, f2), k)[1] for k in deeper]
+            assert all(len(set(a)) < len(set(b)) for a, b in zip(blocks, blocks[1:stable]))
+            assert all(block == blocks[stable] for block in blocks[stable:])
+            for k, block in enumerate(blocks[1:], 1):
                 related = {
                     (s, t)
                     for s, i in left.items()

@@ -117,6 +117,15 @@ class TestFts:
         with pytest.raises(ModelError):
             Fts({""}, {"a"}, "")
 
+    @pytest.mark.parametrize("name", ["my system", "a#b", "a\nb", ""])
+    def test_system_name_must_be_an_identifier(self, name):
+        """The model file's ``system NAME`` header carries one identifier, so
+        a name it could not carry is rejected where the system is built."""
+        with pytest.raises(ModelError, match="bad system name identifier"):
+            Fts(["s"], ["a"], "s", name=name)
+        with pytest.raises(ModelError, match="bad system name identifier"):
+            Fts.from_triples(["s"], ["a"], "s", [("s", "a", "1", "s")], name=name)
+
     def test_equality_ignores_name(self, choice_late):
         other = Fts.from_triples(
             states=["s0", "s1", "s2", "s3"],
@@ -293,15 +302,11 @@ class TestDecompose:
             (["s0"], ["t0"]),
             (["s1", "s2"], ["u1", "u2"]),
         ]
-        assert dec.left_outside == frozenset()
-        assert dec.right_outside == frozenset()
 
     def test_outside_states(self):
         r = Relation({"a", "b"}, {"x", "y"}, {("a", "x")})
         dec = decompose(r)
         assert dec.blocks == ((frozenset({"a"}), frozenset({"x"})),)
-        assert dec.left_outside == {"b"}
-        assert dec.right_outside == {"y"}
 
     def test_blocks_ordered_by_least_left_state(self):
         r = Relation(
@@ -316,8 +321,6 @@ class TestDecompose:
         r = Relation({"a"}, {"x"}, set())
         dec = decompose(r)
         assert dec.blocks == ()
-        assert dec.left_outside == {"a"}
-        assert dec.right_outside == {"x"}
 
     def test_matches_definitional_correlational_test(self):
         """decompose's block characterization must agree with the edge-scan

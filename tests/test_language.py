@@ -21,7 +21,7 @@ from fuzzts import (
     step,
     unit,
 )
-from fuzzts.partition import rounds
+from fuzzts.partition import graded
 
 
 def d(text):
@@ -330,7 +330,10 @@ def _chain(n, last="1", prefix="c"):
 def _rounds_to_stability(*systems):
     """The first round that splits no class of the one before, on the
     disjoint union of ``systems``."""
-    return len(list(rounds(systems)[1]))
+    k = 1
+    while len(set(graded(systems, k)[1])) > len(set(graded(systems, k - 1)[1])):
+        k += 1
+    return k
 
 
 class TestBoundEdges:
@@ -417,3 +420,43 @@ class TestBoundEdges:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert equal
+
+
+# ------------------------------------------------------------------ scale
+
+
+def test_state_walks_read_only_the_support():
+    """100 calls each of lang_degree, delta_word and accept_degree on
+    3-letter words over 10^4 states and 5*10^4 edges take well under a
+    second when a step reads only the images of its distribution's
+    support, and several seconds when each call indexes every edge."""
+    rng = random.Random(4_096)
+    states = [f"s{i}" for i in range(10_000)]
+    edges: dict[tuple[str, str, str], str] = {}
+    while len(edges) < 50_000:
+        key = (rng.choice(states), rng.choice("abc"), rng.choice(states))
+        edges[key] = rng.choice(helpers.NONZERO_DEGREES)
+    f = Fts.from_triples(states, "abc", "s0", [(s, a, d, t) for (s, a, t), d in edges.items()])
+    final = FuzzySet(f.states, {s: rng.choice(helpers.NONZERO_DEGREES) for s in states[::3]})
+    m = FuzzyAutomaton(f, final)
+    queries = [(rng.choice(states), tuple(rng.choices("abc", k=3))) for _ in range(100)]
+
+    def out_of_time(signum, frame):
+        raise TimeoutError("300 state walks exceeded 1 s on 10^4 states")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    signal.setitimer(signal.ITIMER_REAL, 1.0)
+    try:
+        degrees = [lang_degree(f, s, word) for s, word in queries]
+        reached = [delta_word(f, s, word) for s, word in queries]
+        accepted = [accept_degree(m, word) for _, word in queries]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    for (s, word), degree, mu, acceptance in zip(queries, degrees, reached, accepted):
+        assert mu == _delta_word_oracle(f, s, word)
+        assert degree == mu.height
+        start = _delta_word_oracle(f, "s0", word)
+        assert acceptance == max((min(start(t), final(t)) for t in start.support), default=ZERO)
+    assert sum(map(bool, degrees)) >= 60
+    assert sum(map(bool, accepted)) >= 25
