@@ -194,8 +194,7 @@ def kernel(fmap: StateMap) -> Relation:
 
     Groups the domain by image, so it costs O(|D| log |D| + output)."""
     groups = members(fmap._table).values()
-    pairs = {(s, t) for group in groups for s in group for t in group}
-    return Relation(fmap.domain, fmap.domain, pairs)
+    return Relation.from_blocks(fmap.domain, fmap.domain, ((g, g) for g in groups))
 
 
 def graph_of(fmap: StateMap) -> Relation:

@@ -8,8 +8,9 @@ related pair (s, t) and label:
 
   1. the image of s puts no weight outside the relation's left projection,
   2. the image of t puts no weight outside the right projection,
-  3. block by block of the relation's bipartite decomposition, the two
-     images have equal suprema.
+  3. on each block (U, V) of :func:`~fuzzts.core.decompose`, the relation's
+     bipartite components, the image of s over U and the image of t over V
+     have equal suprema.
 
 ``check_bisimulation_naive`` keeps the literal subset-enumeration form as an
 oracle for the reduction.  Verdicts carry the lexicographically least failing
@@ -29,7 +30,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .core import (
-    BlockDecomposition, Fts, FuzzyAutomaton, Relation, decompose, is_correlational, members,
+    Blocks, Fts, FuzzyAutomaton, Relation, decompose, is_correlational, members,
 )
 from .degrees import Degree, ZERO
 from .errors import AlphabetError, CapError, UniverseError
@@ -98,9 +99,9 @@ def _profile(f: Fts, block_of: dict[str, int]):
     return profile
 
 
-def _profiles(f1: Fts, f2: Fts, dec: BlockDecomposition):
-    block_left = {s: i for i, (u, _) in enumerate(dec.blocks) for s in u}
-    block_right = {t: i for i, (_, v) in enumerate(dec.blocks) for t in v}
+def _profiles(f1: Fts, f2: Fts, blocks: Blocks):
+    block_left = {s: i for i, (u, _) in enumerate(blocks) for s in u}
+    block_right = {t: i for i, (_, v) in enumerate(blocks) for t in v}
     return _profile(f1, block_left), _profile(f2, block_right)
 
 
@@ -113,10 +114,11 @@ def check_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     label, the blocks the two images reach; not blocks times states.
     """
     _check_setting(f1, f2, r)
-    dec = decompose(r)
-    left_prof, right_prof = _profiles(f1, f2, dec)
+    blocks = decompose(r)
+    left_prof, right_prof = _profiles(f1, f2, blocks)
+    labels = f1.sorted_labels()
     for s, t in r.sorted_pairs():
-        for a in sorted(f1.labels):
+        for a in labels:
             outside_l, sups_l = left_prof(s, a)
             outside_r, sups_r = right_prof(t, a)
             if outside_l:
@@ -132,7 +134,7 @@ def check_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
                 )
                 return Verdict(
                     False,
-                    Witness(s, t, a, "block-sup", _format_block(dec.blocks[index]),
+                    Witness(s, t, a, "block-sup", _format_block(blocks[index]),
                             sups_l.get(index, ZERO), sups_r.get(index, ZERO)),
                 )
     return Verdict(True)
@@ -181,8 +183,9 @@ def check_strong_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     for s, t in r.pairs:
         partners_right.setdefault(s, []).append(t)
         partners_left.setdefault(t, []).append(s)
+    labels = f1.sorted_labels()
     for s, t in r.sorted_pairs():
-        for a in sorted(f1.labels):
+        for a in labels:
             mu = f1.delta(s, a)
             eta = f2.delta(t, a)
             for target, moved in mu.items():
@@ -216,8 +219,7 @@ def refine(f1: Fts, f2: Fts, r: Relation) -> Relation:
     :func:`bisimilarity` against; no library operation calls it.
     """
     _check_setting(f1, f2, r)
-    dec = decompose(r)
-    left_prof, right_prof = _profiles(f1, f2, dec)
+    left_prof, right_prof = _profiles(f1, f2, decompose(r))
     labels = sorted(f1.labels)
 
     def signature(profile, state):
@@ -270,10 +272,9 @@ def bisimilarity(f1: Fts, f2: Fts) -> Relation:
     the two systems, restricted to S1 x S2: the related pairs are those whose
     states share a class.
     """
-    left, right = _classes(f1, f2)
-    right_members = members(right)
-    pairs = {(s, t) for s, c in left.items() for t in right_members.get(c, ())}
-    return Relation(f1.states, f2.states, pairs)
+    left, right = map(members, _classes(f1, f2))
+    blocks = ((u, right[c]) for c, u in left.items() if c in right)
+    return Relation.from_blocks(f1.states, f2.states, blocks)
 
 
 def are_bisimilar(f1: Fts, f2: Fts) -> bool:
@@ -296,15 +297,14 @@ def self_bisimilarity(f: Fts) -> Relation:
     are those of the partition engine run on ``f`` alone, as in
     :func:`fuzzts.algebra.minimize`.  Costs one engine run plus the pairs."""
     groups = members(coarsest_partition((f,))[0]).values()
-    pairs = {(s, t) for group in groups for s in group for t in group}
-    return Relation(f.states, f.states, pairs)
+    return Relation.from_blocks(f.states, f.states, ((g, g) for g in groups))
 
 
 def z_closure(r: Relation) -> Relation:
     """Least superset closed under square completion:
     (s,t), (s',t), (s',t') present forces (s,t').  That is the union of
     U x V over the blocks (U, V) of the relation's decomposition."""
-    return r.replace_pairs((s, t) for u, v in decompose(r).blocks for s in u for t in v)
+    return Relation.from_blocks(r.left_universe, r.right_universe, decompose(r))
 
 
 def iter_bisimulations_bruteforce(f1: Fts, f2: Fts, max_pairs: int = 14):

@@ -11,7 +11,6 @@ deterministic orderings are lexicographic throughout.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .degrees import ZERO, Degree, as_degree
@@ -19,6 +18,9 @@ from .errors import ModelError, UniverseError
 
 #: A word is a finite sequence of labels; ``()`` is the empty word.
 Word = tuple[str, ...]
+
+#: A relation's components as (left part, right part) blocks.
+Blocks = tuple[tuple[frozenset[str], frozenset[str]], ...]
 
 # Base identifiers use letters, digits, underscore and prime; the bracket and
 # comma characters are reserved for machine-generated product states "(s,t)"
@@ -303,6 +305,16 @@ class Relation:
         left, right = frozenset(left), frozenset(right)
         return cls(left, right, {(s, t) for s in left for t in right})
 
+    @classmethod
+    def from_blocks(
+        cls,
+        left: Iterable[str],
+        right: Iterable[str],
+        blocks: Iterable[tuple[Iterable[str], Iterable[str]]],
+    ) -> "Relation":
+        """The union of U x V over the (U, V) ``blocks``."""
+        return cls(left, right, {(s, t) for u, v in blocks for s in u for t in v})
+
     def replace_pairs(self, pairs: Iterable[tuple[str, str]]) -> "Relation":
         return Relation(self.left_universe, self.right_universe, pairs)
 
@@ -314,12 +326,6 @@ class Relation:
 
     def sorted_pairs(self) -> list[tuple[str, str]]:
         return sorted(self.pairs)
-
-    def proj_left(self) -> frozenset[str]:
-        return frozenset(left for left, _ in self.pairs)
-
-    def proj_right(self) -> frozenset[str]:
-        return frozenset(right for _, right in self.pairs)
 
     def inverse(self) -> "Relation":
         return Relation(
@@ -380,26 +386,21 @@ class Relation:
         """The classes sorted by least member, or None for a relation that
         is not an equivalence.
 
-        A relation is one exactly when every state lies in its own right-set
-        and every member of that set has the same right-set.  Each class is
-        compared once per member, so the pass costs O(|pairs|).
+        A relation is one exactly when its universes are equal, every block
+        of :func:`decompose` is a square (U, U), the blocks cover the
+        universe, and the relation holds all of each U x U, that is,
+        ``len(pairs) == sum(|U|**2)``.
         """
         if self.left_universe != self.right_universe:
             return None
-        right_of: dict[str, set[str]] = {s: set() for s in self.left_universe}
-        for s, t in self.pairs:
-            right_of[s].add(t)
-        seen: set[str] = set()
-        classes = []
-        for state in sorted(self.left_universe):
-            if state in seen:
-                continue
-            block = right_of[state]
-            if state not in block or any(right_of[t] != block for t in block):
-                return None
-            seen |= block
-            classes.append(frozenset(block))
-        return classes
+        blocks = decompose(self)
+        if (
+            any(u != v for u, v in blocks)
+            or sum(len(u) for u, _ in blocks) != len(self.left_universe)
+            or sum(len(u) ** 2 for u, _ in blocks) != len(self.pairs)
+        ):
+            return None
+        return [u for u, _ in blocks]
 
     def __eq__(self, other):
         if isinstance(other, Relation):
@@ -428,52 +429,39 @@ def members(class_of: Mapping[str, Hashable]) -> dict[Hashable, list[str]]:
     return groups
 
 
-@dataclass(frozen=True)
-class BlockDecomposition:
-    """Connected components of a relation's bipartite graph.
+def decompose(relation: Relation) -> Blocks:
+    """The connected components of a relation's bipartite graph, as
+    (left part, right part) blocks ordered by least left state.
 
-    ``blocks`` are (left part, right part) pairs ordered by least left state.
-    With the states carrying no relation edge at all, they generate every
-    correlational pair of the relation: a pair (U, V) is correlational
-    exactly when U and V consist of the two sides of one set of blocks plus
-    arbitrary such outside states.
+    With the states carrying no relation edge at all, the blocks generate
+    every correlational pair of the relation: a pair (U, V) is
+    correlational exactly when U and V consist of the two sides of one set
+    of blocks plus arbitrary such outside states.
+
+    A walk over the relation's two adjacency maps, started from each left
+    state in sorted order, finds each block once: O(|pairs|) plus the sort.
     """
-
-    blocks: tuple[tuple[frozenset[str], frozenset[str]], ...]
-
-
-def decompose(relation: Relation) -> BlockDecomposition:
-    """Split a relation into its bipartite connected components."""
-    parent: dict[tuple[int, str], tuple[int, str]] = {}
-
-    def find(node):
-        root = node
-        while parent[root] != root:
-            root = parent[root]
-        while parent[node] != root:
-            parent[node], node = root, parent[node]
-        return root
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[rb] = ra
-
-    for left, right in relation.pairs:
-        for node in ((0, left), (1, right)):
-            parent.setdefault(node, node)
-        union((0, left), (1, right))
-
-    groups: dict[tuple[int, str], tuple[set[str], set[str]]] = {}
-    for node in parent:
-        side, state = node
-        group = groups.setdefault(find(node), (set(), set()))
-        group[side].add(state)
-    blocks = tuple(
-        (frozenset(u), frozenset(v))
-        for u, v in sorted(groups.values(), key=lambda g: min(g[0]))
-    )
-    return BlockDecomposition(blocks=blocks)
+    rights: dict[str, list[str]] = {}
+    lefts: dict[str, list[str]] = {}
+    for s, t in relation.pairs:
+        rights.setdefault(s, []).append(t)
+        lefts.setdefault(t, []).append(s)
+    blocks = []
+    for start in sorted(rights):
+        if start not in rights:  # a walk pops each left state it reaches
+            continue
+        u, v = {start}, set()
+        stack = [start]
+        while stack:
+            for t in rights.pop(stack.pop()):
+                if t not in v:
+                    v.add(t)
+                    for s in lefts[t]:
+                        if s not in u:
+                            u.add(s)
+                            stack.append(s)
+        blocks.append((frozenset(u), frozenset(v)))
+    return tuple(blocks)
 
 
 def is_correlational(relation: Relation, left: Iterable[str], right: Iterable[str]) -> bool:

@@ -23,6 +23,7 @@ from fuzzts import (
     Witness,
     ZERO,
     decompose,
+    parallel_compose,
 )
 from fuzzts.core import check_ident
 
@@ -130,6 +131,33 @@ def random_fts(rng: random.Random, n_states: int, labels, prefix: str = "s") -> 
                 if degree != "0":
                     triples.append((s, a, degree, t))
     return Fts.from_triples(states, labels, states[0], triples, name=f"{prefix}rnd")
+
+
+def chain(n: int, last: str = "1", prefix: str = "c") -> Fts:
+    """n states on one a-path of degree-1 edges; the last edge has degree
+    ``last``."""
+    states = [f"{prefix}{i}" for i in range(n)]
+    triples = [(states[i], "a", "1", states[i + 1]) for i in range(n - 2)]
+    triples.append((states[n - 2], "a", last, states[n - 1]))
+    return Fts.from_triples(states, ["a"], states[0], triples)
+
+
+def marked_cycle_product(rng: random.Random, p: int, q: int) -> tuple[Fts, Fts]:
+    """The product of a p-cycle whose first edge carries its own degree with
+    an unmarked q-cycle whose degrees are at least both of the p-cycle's,
+    and the p-cycle itself: product state (c_i,k_j) behaves like c_i."""
+    base, mark = rng.sample(("0.3", "0.5", "0.8"), 2)
+    cp = Fts.from_triples(
+        [f"c{i}" for i in range(p)], ["a"], "c0",
+        [(f"c{i}", "a", mark if i == 0 else base, f"c{(i + 1) % p}") for i in range(p)],
+        name="cp",
+    )
+    cq = Fts.from_triples(
+        [f"k{j}" for j in range(q)], ["a"], "k0",
+        [(f"k{j}", "a", rng.choice(("0.8", "1")), f"k{(j + 1) % q}") for j in range(q)],
+        name="cq",
+    )
+    return parallel_compose(cp, cq), cp
 
 
 _SIZE_PAIRS = [
@@ -311,16 +339,16 @@ def check_bisimulation_oracle(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     and the witness names the first index where two vectors differ.  Costs
     blocks times (state, label) pairs; assumes matching alphabets and
     universes."""
-    dec = decompose(r)
+    blocks = decompose(r)
 
     def side_profile(f: Fts, part: int):
-        block_of = {s: i for i, block in enumerate(dec.blocks) for s in block[part]}
+        block_of = {s: i for i, block in enumerate(blocks) for s in block[part]}
         cache: dict[tuple[str, str], tuple[list, tuple]] = {}
 
         def profile(state: str, label: str):
             key = (state, label)
             if key not in cache:
-                sups = [ZERO] * len(dec.blocks)
+                sups = [ZERO] * len(blocks)
                 outside = []
                 for target, degree in f.delta(state, label).items():
                     index = block_of.get(target)
@@ -346,13 +374,73 @@ def check_bisimulation_oracle(f1: Fts, f2: Fts, r: Relation) -> Verdict:
                 return Verdict(False, Witness(s, t, a, "right-support", state, ZERO, degree))
             if sups_l != sups_r:
                 index = next(i for i in range(len(sups_l)) if sups_l[i] != sups_r[i])
-                left, right = dec.blocks[index]
+                left, right = blocks[index]
                 subject = f"{{{','.join(sorted(left))}}}~{{{','.join(sorted(right))}}}"
                 return Verdict(
                     False,
                     Witness(s, t, a, "block-sup", subject, sups_l[index], sups_r[index]),
                 )
     return Verdict(True)
+
+
+def components_oracle(r: Relation) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
+    """The bipartite components of a relation by merging: one block per
+    pair, then blocks that share a state joined until none do; ordered by
+    least left state."""
+    blocks = [({s}, {t}) for s, t in r.pairs]
+    found = []
+    while blocks:
+        u, v = blocks.pop()
+        while True:
+            rest = []
+            for left, right in blocks:
+                if left & u or right & v:
+                    u |= left
+                    v |= right
+                else:
+                    rest.append((left, right))
+            if len(rest) == len(blocks):
+                break
+            blocks = rest
+        found.append((frozenset(u), frozenset(v)))
+    return tuple(sorted(found, key=lambda block: min(block[0])))
+
+
+def threshold_cut_rounds(systems) -> list[list[dict[str, int]]]:
+    """Crisp partition refinement on the threshold cut of the disjoint
+    union of ``systems``, one ``{state: class}`` dict per system per round.
+
+    The cut has an edge x -(a, lam)-> y whenever delta(x, a)(y) >= lam, for
+    each degree lam that occurs in the systems.  Round 0 is one class; in
+    round k a state's signature is its own class in round k - 1 plus the set
+    of (a, lam, round-(k-1) class of y) over its cut edges.  The list ends
+    with the first round that splits no class."""
+    lams = sorted({d for f in systems for _, _, d, _ in f.transitions()})
+    cut: dict[tuple[int, str], set] = {
+        (i, s): set() for i, f in enumerate(systems) for s in f.states
+    }
+    for i, f in enumerate(systems):
+        for s, a, d, t in f.transitions():
+            cut[(i, s)] |= {(a, lam, (i, t)) for lam in lams if d >= lam}
+    class_of = dict.fromkeys(cut, 0)
+    rounds = [class_of]
+    while True:
+        numbers: dict[tuple, int] = {}
+        refined = {
+            x: numbers.setdefault(
+                (class_of[x], frozenset((a, lam, class_of[y]) for a, lam, y in edges)),
+                len(numbers),
+            )
+            for x, edges in cut.items()
+        }
+        rounds.append(refined)
+        if len(numbers) == len(set(class_of.values())):
+            break
+        class_of = refined
+    return [
+        [{s: rnd[(i, s)] for s in f.states} for i, f in enumerate(systems)]
+        for rnd in rounds
+    ]
 
 
 def z_closure_oracle(r: Relation) -> Relation:
@@ -496,11 +584,11 @@ def all_words(labels, max_len: int):
             frontier.extend(word + (a,) for a in sorted(labels))
 
 
-def correlational_by_blocks(dec, left: frozenset, right: frozenset) -> bool:
+def correlational_by_blocks(blocks, left: frozenset, right: frozenset) -> bool:
     """Predicted correlational test from a block decomposition: inside the
     projections the two sets must be matching unions of whole blocks; outside
     states are unconstrained."""
-    for block_left, block_right in dec.blocks:
+    for block_left, block_right in blocks:
         hit_left = left & block_left
         hit_right = right & block_right
         if hit_left not in (frozenset(), block_left):

@@ -146,7 +146,7 @@ class TestCheckBisimulation:
             verdict = check_bisimulation(f1, f2, rel)
             assert verdict == helpers.check_bisimulation_oracle(f1, f2, rel), (f1, f2, rel)
             kinds[verdict.witness.kind if verdict.witness else None] += 1
-            wide += len(decompose(rel).blocks) >= 8
+            wide += len(decompose(rel)) >= 8
         assert min(kinds.values()) > 20, kinds
         assert wide > 100
 
@@ -450,6 +450,53 @@ class TestEngineAgainstRefinement:
         assert long_traces >= 250
 
 
+def _partition(class_maps):
+    """The classes of per-system ``{state: class}`` maps, over (system
+    index, state) nodes."""
+    groups: dict[int, set] = {}
+    for i, class_of in enumerate(class_maps):
+        for s, c in class_of.items():
+            groups.setdefault(c, set()).add((i, s))
+    return {frozenset(group) for group in groups.values()}
+
+
+class TestThresholdCutOracle:
+    def test_engine_matches_crisp_refinement_of_the_cut(self):
+        """Max-min bisimilarity is crisp bisimilarity of the threshold cut,
+        round by round: the cut's round k is the engine's round k up to one
+        past the stable round, and its last round, restricted to S1 x S2,
+        is bisimilarity.  Three labels put several edges of different
+        degrees under one (state, label), where a cut keeping only the
+        exact degrees splits too finely."""
+        rng = random.Random(27182)
+        cases = list(_differential_pairs(rng))
+        for _ in range(100):
+            labels = ["a", "b", "c"]
+            cases.append((
+                helpers.random_fts(rng, rng.randint(1, 6), labels, prefix="s"),
+                helpers.random_fts(rng, rng.randint(1, 6), labels, prefix="t"),
+            ))
+        for n in range(20, 41, 5):
+            for last in ("1", "0.5"):
+                cases.append((helpers.chain(n), helpers.chain(n, last, prefix="d")))
+        for p in range(2, 6):
+            for q in range(2, 5):
+                cases.append(helpers.marked_cycle_product(rng, p, q))
+        rounds = 0
+        for f1, f2 in cases:
+            cut = helpers.threshold_cut_rounds((f1, f2))
+            left, right = cut[-1]
+            related = {(s, t) for s, c in left.items() for t, e in right.items() if c == e}
+            assert bisimilarity(f1, f2) == Relation(f1.states, f2.states, related), (f1, f2)
+            stable = len(cut) - 1
+            for k in range(stable + 2):
+                index, block, _ = graded((f1, f2), k)
+                engine = [{s: block[i] for s, i in ids.items()} for ids in index]
+                assert _partition(engine) == _partition(cut[min(k, stable)]), (f1, f2, k)
+                rounds += 1
+        assert len(cases) == 642 and rounds >= 3000
+
+
 class TestEnumerateBruteforce:
     def test_matches_self_bisimilarity_on_twin_fork(self, twin_fork):
         union = enumerate_bisimulations_bruteforce(twin_fork, twin_fork)
@@ -577,7 +624,7 @@ class TestZClosure:
                 left, right,
                 {(s, t) for s in left for t in right if rng.random() < density},
             ))
-        assert sum(len(decompose(rel).blocks) >= 3 for rel in cases) >= 20
+        assert sum(len(decompose(rel)) >= 3 for rel in cases) >= 20
         for rel in cases:
             assert z_closure(rel) == helpers.z_closure_oracle(rel)
 

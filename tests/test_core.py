@@ -1,4 +1,5 @@
 import random
+import signal
 
 import pytest
 
@@ -15,6 +16,7 @@ from fuzzts import (
     UniverseError,
     ZERO,
     decompose,
+    graph_of,
     is_correlational,
 )
 
@@ -206,8 +208,6 @@ class TestRelation:
         assert ("a", "x") in r
         assert ("a", "y") not in r
         assert len(r) == 2
-        assert r.proj_left() == {"a", "b"}
-        assert r.proj_right() == {"x"}
         assert r.sorted_pairs() == [("a", "x"), ("b", "x")]
 
     def test_pairs_must_fit_universes(self):
@@ -297,16 +297,16 @@ class TestEquivalenceAgainstDefinition:
 class TestDecompose:
     def test_skew_blocks(self, skew_pair):
         _, _, rel = skew_pair
-        dec = decompose(rel)
-        assert [(sorted(u), sorted(v)) for u, v in dec.blocks] == [
+        blocks = decompose(rel)
+        assert [(sorted(u), sorted(v)) for u, v in blocks] == [
             (["s0"], ["t0"]),
             (["s1", "s2"], ["u1", "u2"]),
         ]
 
     def test_outside_states(self):
         r = Relation({"a", "b"}, {"x", "y"}, {("a", "x")})
-        dec = decompose(r)
-        assert dec.blocks == ((frozenset({"a"}), frozenset({"x"})),)
+        blocks = decompose(r)
+        assert blocks == ((frozenset({"a"}), frozenset({"x"})),)
 
     def test_blocks_ordered_by_least_left_state(self):
         r = Relation(
@@ -314,13 +314,13 @@ class TestDecompose:
             {"x", "y", "z"},
             {("c", "z"), ("b", "y"), ("a", "x")},
         )
-        dec = decompose(r)
-        assert [min(u) for u, _ in dec.blocks] == ["a", "b", "c"]
+        blocks = decompose(r)
+        assert [min(u) for u, _ in blocks] == ["a", "b", "c"]
 
     def test_empty_relation(self):
         r = Relation({"a"}, {"x"}, set())
-        dec = decompose(r)
-        assert dec.blocks == ()
+        blocks = decompose(r)
+        assert blocks == ()
 
     def test_matches_definitional_correlational_test(self):
         """decompose's block characterization must agree with the edge-scan
@@ -334,12 +334,71 @@ class TestDecompose:
                 (s, t) for s in left for t in right if rng.random() < 0.4
             }
             r = Relation(left, right, pairs)
-            dec = decompose(r)
+            blocks = decompose(r)
             for u in helpers.subsets(left):
                 for v in helpers.subsets(right):
                     assert is_correlational(r, u, v) == helpers.correlational_by_blocks(
-                        dec, u, v
+                        blocks, u, v
                     )
+
+    def test_matches_components_oracle(self):
+        """decompose against block merging, order included, on seeded
+        relations of every density, graphs of maps and equivalences; the
+        blocks' squares are the z-closure, and an equivalence's are itself."""
+        rng = random.Random(16180)
+        cases = []
+        for density in (0, 0.05, 0.2, 0.6, 1):
+            for _ in range(30):
+                left = [f"s{i}" for i in range(rng.randint(1, 30))]
+                right = [f"t{i}" for i in range(rng.randint(1, 30))]
+                pairs = {(s, t) for s in left for t in right if rng.random() < density}
+                cases.append(Relation(left, right, pairs))
+        equivalences = []
+        for _ in range(40):
+            f1 = Fts([f"s{i}" for i in range(rng.randint(1, 30))], ["a"], "s0")
+            f2 = Fts([f"t{i}" for i in range(rng.randint(1, 30))], ["a"], "t0")
+            cases.append(graph_of(helpers.random_map(rng, f1, f2)))
+            equivalences.append(helpers.random_equivalence(rng, f1))
+        multi = 0
+        for r in cases + equivalences:
+            blocks = decompose(r)
+            assert blocks == helpers.components_oracle(r), r
+            closure = Relation.from_blocks(r.left_universe, r.right_universe, blocks)
+            assert closure == helpers.z_closure_oracle(r)
+            multi += len(blocks) >= 3
+        for r in equivalences:
+            assert Relation.from_blocks(r.left_universe, r.right_universe, decompose(r)) == r
+        assert multi >= 80
+
+    def test_scale_gate(self):
+        """A one-block zig-zag of 10**5 pairs, s_i-t_i and s_(i+1)-t_i, and a
+        2 * 10**4-state equivalence of about 10**5 pairs, each in 2 s; a
+        recursive walk runs out of stack on the first."""
+        n = 50_000
+        left = [f"s{i}" for i in range(n)]
+        right = [f"t{i}" for i in range(n)]
+        pairs = [(left[i], right[i]) for i in range(n)]
+        pairs += [(left[i + 1], right[i]) for i in range(n - 1)]
+        zigzag = Relation(left, right, pairs)
+        states = [f"q{i}" for i in range(20_000)]
+        classes = [states[i:i + 5] for i in range(0, len(states), 5)]
+        equivalence = Relation(states, states, ((s, t) for c in classes for s in c for t in c))
+
+        def out_of_time(signum, frame):
+            raise TimeoutError("exceeded 2 s")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        try:
+            signal.setitimer(signal.ITIMER_REAL, 2.0)
+            blocks = decompose(zigzag)
+            signal.setitimer(signal.ITIMER_REAL, 2.0)
+            found = equivalence.equivalence_classes()
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert blocks == ((frozenset(left), frozenset(right)),)
+        assert len(pairs) == 2 * n - 1 and len(equivalence) == 100_000
+        assert sorted(map(sorted, found)) == sorted(map(sorted, classes))
 
     def test_is_correlational_examples(self, skew_pair):
         _, _, rel = skew_pair

@@ -318,15 +318,6 @@ class TestAgainstOracles:
 # ------------------------------------------ bounds against the class rounds
 
 
-def _chain(n, last="1", prefix="c"):
-    """n states on one a-path of degree-1 edges; the last edge has degree
-    ``last``."""
-    states = [f"{prefix}{i}" for i in range(n)]
-    triples = [(states[i], "a", "1", states[i + 1]) for i in range(n - 2)]
-    triples.append((states[n - 2], "a", last, states[n - 1]))
-    return Fts.from_triples(states, ["a"], states[0], triples)
-
-
 def _rounds_to_stability(*systems):
     """The first round that splits no class of the one before, on the
     disjoint union of ``systems``."""
@@ -342,7 +333,7 @@ class TestBoundEdges:
         crosses every edge, of length n - 1; chains of n >= 2 put that
         length at 1 up to 11, so max_len 0 and 1 are both edges here."""
         for n in range(2, 13):
-            chain, lowered = _chain(n), _chain(n, last="0.5", prefix="d")
+            chain, lowered = helpers.chain(n), helpers.chain(n, last="0.5", prefix="d")
             assert lang_equal_up_to(chain, "c0", lowered, "d0", n - 2)
             assert not lang_equal_up_to(chain, "c0", lowered, "d0", n - 1)
             assert not lang_equal_up_to(lowered, "d0", chain, "c0", n + 2)
