@@ -3,16 +3,16 @@ quotients, and minimization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .bisim import Verdict, Witness
-from .core import Fts, Relation, members
-from .degrees import Degree, ZERO
+from .core import Fts, Relation, Value, members
+from .degrees import ONE, ZERO, Degree
 from .errors import AlphabetError, ModelError, UniverseError
 from .partition import coarsest_partition
 
 
-class StateMap:
+class StateMap(Value):
     """A total map between the state sets of two systems."""
 
     __slots__ = ("domain", "codomain", "_table")
@@ -35,9 +35,6 @@ class StateMap:
         states = frozenset(states)
         return cls({s: s for s in states}, states, states)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("StateMap is immutable")
-
     def __call__(self, state: str) -> str:
         if state not in self._table:
             raise UniverseError(f"unknown state {state!r}")
@@ -48,15 +45,6 @@ class StateMap:
 
     def image(self) -> frozenset[str]:
         return frozenset(self._table.values())
-
-    def __eq__(self, other):
-        if not isinstance(other, StateMap):
-            return NotImplemented
-        return (
-            self.domain == other.domain
-            and self.codomain == other.codomain
-            and self._table == other._table
-        )
 
     def __hash__(self):
         return hash((self.domain, self.codomain, frozenset(self._table.items())))
@@ -72,13 +60,13 @@ def product_id(left: str, right: str) -> str:
 def parallel_compose(f1: Fts, f2: Fts) -> Fts:
     """Synchronized product over the full state product.
 
-    Shared labels fire jointly with the min of the component degrees;
-    labels private to one side move that side and freeze the other.
-    Raises ``ModelError`` when two state pairs get the same product id,
-    which identifiers containing ``,`` can cause.
+    Under each label each side follows its own image, and a side whose
+    alphabet lacks the label stays put with degree 1, so a private label
+    moves its side and freezes the other; a product edge takes the min of
+    the two degrees.  Raises ``ModelError`` when two state pairs get the
+    same product id, which identifiers containing ``,`` can cause.
     """
     labels = f1.labels | f2.labels
-    shared = f1.labels & f2.labels
     states = frozenset(
         product_id(s, t) for s in f1.states for t in f2.states
     )
@@ -89,18 +77,13 @@ def parallel_compose(f1: Fts, f2: Fts) -> Fts:
         for t in f2.sorted_states():
             source = product_id(s, t)
             for a in sorted(labels):
-                entries: dict[str, Degree] = {}
-                if a in shared:
-                    for s2, d1 in f1.delta(s, a).items():
-                        for t2, d2 in f2.delta(t, a).items():
-                            entries[product_id(s2, t2)] = min(d1, d2)
-                elif a in f1.labels:
-                    for s2, d1 in f1.delta(s, a).items():
-                        entries[product_id(s2, t)] = d1
-                else:
-                    for t2, d2 in f2.delta(t, a).items():
-                        entries[product_id(s, t2)] = d2
-                delta[(source, a)] = entries
+                lefts = f1.delta(s, a).items() if a in f1.labels else [(s, ONE)]
+                rights = f2.delta(t, a).items() if a in f2.labels else [(t, ONE)]
+                delta[(source, a)] = {
+                    product_id(s2, t2): min(d1, d2)
+                    for s2, d1 in lefts
+                    for t2, d2 in rights
+                }
     return Fts(
         states,
         labels,
@@ -233,7 +216,7 @@ class QuotientFts:
 
     quotient: Fts
     class_of: StateMap
-    classes: dict[str, frozenset[str]]
+    classes: dict[str, frozenset[str]] = field(hash=False)
 
 
 def quotient(f: Fts, r: Relation) -> QuotientFts:

@@ -1,7 +1,9 @@
 """Core data model: fuzzy sets, fuzzy transition systems, relations.
 
-Everything here is immutable after construction and every operation is a pure
-function of its inputs, so concurrent reads are always safe.
+Everything here is a value: immutable after construction, deletion included,
+equal to another instance of its type with the same contents, hashable, and
+safe to copy, deep-copy and pickle.  Every operation is a pure function of its
+inputs, so concurrent reads are always safe.
 
 A transition function is total: "no transition" is represented by the all-zero
 fuzzy set, stored sparsely (missing key).  All identifiers are plain strings;
@@ -11,6 +13,7 @@ deterministic orderings are lexicographic throughout.
 from __future__ import annotations
 
 import re
+from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .degrees import ZERO, Degree, as_degree
@@ -34,7 +37,53 @@ def check_ident(kind: str, text: str) -> str:
     return text
 
 
-class FuzzySet:
+class Value:
+    """Value semantics, defined once for the immutable types.
+
+    A subclass lists its fields in ``__slots__`` and sets them in
+    ``__init__`` through ``object.__setattr__``; afterwards setting or
+    deleting any attribute raises ``AttributeError``.  Two instances of the
+    same type are equal when their slot tuples are, and a copy or an
+    unpickled instance is rebuilt from the slots without running
+    ``__init__`` again.
+    """
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the tuple of slot values; a subclass has at least two slots, since
+        # attrgetter of one name gives the bare value
+        cls._fields = property(attrgetter(*cls.__slots__))
+
+    def __eq__(self, other):
+        if type(other) is type(self):
+            return self._fields == other._fields
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._fields)
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self._fields)
+
+
+def _rebuild(cls: type[Value], fields: tuple) -> Value:
+    """An instance of ``cls`` with the given slot values, as
+    :meth:`Value.__reduce__` records them."""
+    value = object.__new__(cls)
+    for name, field in zip(cls.__slots__, fields):
+        object.__setattr__(value, name, field)
+    return value
+
+
+class FuzzySet(Value):
     """A possibility distribution over a finite state universe.
 
     Canonical form: zero-degree entries are never stored.  ``mu(s)`` looks up
@@ -55,9 +104,6 @@ class FuzzySet:
                 clean[state] = degree
         object.__setattr__(self, "universe", universe)
         object.__setattr__(self, "_entries", clean)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FuzzySet is immutable")
 
     def __call__(self, state: str) -> Degree:
         if state not in self.universe:
@@ -88,11 +134,6 @@ class FuzzySet:
         """Maximum degree over the whole universe."""
         return max(self._entries.values(), default=ZERO)
 
-    def __eq__(self, other):
-        if isinstance(other, FuzzySet):
-            return self.universe == other.universe and self._entries == other._entries
-        return NotImplemented
-
     def __hash__(self):
         return hash((self.universe, frozenset(self._entries.items())))
 
@@ -104,7 +145,7 @@ class FuzzySet:
         return f"FuzzySet({{{inner}}})"
 
 
-class Fts:
+class Fts(Value):
     """A finite fuzzy transition system: states, labels, total fuzzy
     transition function, initial state.
 
@@ -186,9 +227,6 @@ class Fts:
             entries[target] = as_degree(value)
         return cls(state_set, label_set, init, images, name=name)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Fts is immutable")
-
     def delta(self, state: str, label: str) -> FuzzySet:
         """The possibility distribution of targets for (state, label)."""
         if state not in self.states:
@@ -243,33 +281,22 @@ class Fts:
         )
 
 
-class FuzzyAutomaton:
+class FuzzyAutomaton(Value):
     """A finite fuzzy transition system plus a fuzzy set of final states."""
 
     __slots__ = ("base", "final")
 
     def __init__(self, base: Fts, final: FuzzySet):
-        if final.universe != base.states:
+        if final.universe is not base.states and final.universe != base.states:
             raise UniverseError("final set ranges over the wrong universe")
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "final", final)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FuzzyAutomaton is immutable")
-
-    def __eq__(self, other):
-        if isinstance(other, FuzzyAutomaton):
-            return self.base == other.base and self.final == other.final
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.base, self.final))
 
     def __repr__(self):
         return f"FuzzyAutomaton({self.base!r}, final={self.final!r})"
 
 
-class Relation:
+class Relation(Value):
     """A binary relation between two state universes."""
 
     __slots__ = ("left_universe", "right_universe", "pairs")
@@ -291,9 +318,6 @@ class Relation:
         object.__setattr__(self, "left_universe", left_universe)
         object.__setattr__(self, "right_universe", right_universe)
         object.__setattr__(self, "pairs", pairs)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Relation is immutable")
 
     @classmethod
     def diagonal(cls, states: Iterable[str]) -> "Relation":
@@ -401,18 +425,6 @@ class Relation:
         ):
             return None
         return [u for u, _ in blocks]
-
-    def __eq__(self, other):
-        if isinstance(other, Relation):
-            return (
-                self.left_universe == other.left_universe
-                and self.right_universe == other.right_universe
-                and self.pairs == other.pairs
-            )
-        return NotImplemented
-
-    def __hash__(self):
-        return hash((self.left_universe, self.right_universe, self.pairs))
 
     def __repr__(self):
         inner = ", ".join(f"({s},{t})" for s, t in self.sorted_pairs())

@@ -89,7 +89,7 @@ def unit(f: Fts, state: str) -> FuzzySet:
 def step(f: Fts, mu: FuzzySet, label: str) -> FuzzySet:
     """Advance a distribution by one label: best-over-sources min of the
     source weight and the edge degree."""
-    if mu.universe != f.states:
+    if mu.universe is not f.states and mu.universe != f.states:
         raise UniverseError("distribution ranges over the wrong universe")
     if label not in f.labels:
         raise UniverseError(f"unknown label {label!r}")

@@ -416,6 +416,16 @@ class TestBoundEdges:
 # ------------------------------------------------------------------ scale
 
 
+def _sparse_system(rng: random.Random, states: list[str]) -> Fts:
+    """A system on ``states``, starting at s0, with 5*10^4 random edges
+    under the labels a, b and c."""
+    edges: dict[tuple[str, str, str], str] = {}
+    while len(edges) < 50_000:
+        key = (rng.choice(states), rng.choice("abc"), rng.choice(states))
+        edges[key] = rng.choice(helpers.NONZERO_DEGREES)
+    return Fts.from_triples(states, "abc", "s0", [(s, a, d, t) for (s, a, t), d in edges.items()])
+
+
 def test_state_walks_read_only_the_support():
     """100 calls each of lang_degree, delta_word and accept_degree on
     3-letter words over 10^4 states and 5*10^4 edges take well under a
@@ -423,11 +433,7 @@ def test_state_walks_read_only_the_support():
     support, and several seconds when each call indexes every edge."""
     rng = random.Random(4_096)
     states = [f"s{i}" for i in range(10_000)]
-    edges: dict[tuple[str, str, str], str] = {}
-    while len(edges) < 50_000:
-        key = (rng.choice(states), rng.choice("abc"), rng.choice(states))
-        edges[key] = rng.choice(helpers.NONZERO_DEGREES)
-    f = Fts.from_triples(states, "abc", "s0", [(s, a, d, t) for (s, a, t), d in edges.items()])
+    f = _sparse_system(rng, states)
     final = FuzzySet(f.states, {s: rng.choice(helpers.NONZERO_DEGREES) for s in states[::3]})
     m = FuzzyAutomaton(f, final)
     queries = [(rng.choice(states), tuple(rng.choices("abc", k=3))) for _ in range(100)]
@@ -451,3 +457,36 @@ def test_state_walks_read_only_the_support():
         assert acceptance == max((min(start(t), final(t)) for t in start.support), default=ZERO)
     assert sum(map(bool, degrees)) >= 60
     assert sum(map(bool, accepted)) >= 25
+
+
+def test_step_and_equality_match_a_shared_universe_by_identity():
+    """10,000 steps from unit distributions on the 10^4-state system of
+    test_state_walks_read_only_the_support, and then 10,000 equality tests
+    between their results, each take well under a second when a universe
+    shared with the system is matched by identity, and over two seconds
+    when each call compares the 10^4 states one by one."""
+    rng = random.Random(4_096)
+    states = [f"s{i}" for i in range(10_000)]
+    f = _sparse_system(rng, states)
+    queries = [(rng.choice(states), rng.choice("abc")) for _ in range(5_000)] * 2
+    starts = [unit(f, s) for s, _ in queries]
+    # 5,000 pairs of equal results built apart, then 5,000 neighbours
+    pairs = list(zip(range(5_000), range(5_000, 10_000))) + [(i, i + 1) for i in range(5_000)]
+
+    def out_of_time(signum, frame):
+        raise TimeoutError("10,000 calls exceeded 1 s on 10^4 states")
+
+    previous = signal.signal(signal.SIGALRM, out_of_time)
+    try:
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        reached = [step(f, mu, a) for mu, (_, a) in zip(starts, queries)]
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        equal = [reached[i] == reached[j] for i, j in pairs]
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+    for mu, (_, a), nu in zip(starts[:50], queries, reached):
+        assert nu == helpers.step_oracle(f, mu, a)
+    assert equal == [reached[i].items() == reached[j].items() for i, j in pairs]
+    assert all(equal[:5_000]) and 0 < sum(equal[5_000:]) < 5_000
+    assert sum(map(bool, reached)) >= 3_000
