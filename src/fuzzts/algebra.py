@@ -3,9 +3,9 @@ quotients, and minimization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .bisim import Verdict, Witness
+from .bisim import Verdict, Witness, check_bisimulation
 from .core import Fts, Relation, Value, members
 from .degrees import ONE, ZERO, Degree
 from .errors import AlphabetError, ModelError, UniverseError
@@ -94,17 +94,14 @@ def parallel_compose(f1: Fts, f2: Fts) -> Fts:
 
 
 def is_subsystem(f1: Fts, f2: Fts) -> bool:
-    """Whether f1 is literally a part of f2: contained state set and the
-    same transition images on it (so no f2-transition leaves f1's states)."""
+    """Whether f1 is literally a part of f2: nested state sets, and f1's
+    diagonal a bisimulation, so no f2-transition leaves f1's states."""
     if f1.labels != f2.labels:
         raise AlphabetError("label alphabets differ")
     if not f1.states <= f2.states:
         return False
-    for s in f1.sorted_states():
-        for a in f1.sorted_labels():
-            if dict(f1.delta(s, a).items()) != dict(f2.delta(s, a).items()):
-                return False
-    return True
+    diagonal = Relation(f1.states, f2.states, {(s, s) for s in f1.states})
+    return check_bisimulation(f1, f2, diagonal).holds
 
 
 def check_homomorphism(f1: Fts, f2: Fts, fmap: StateMap) -> Verdict:
@@ -212,11 +209,15 @@ def pull_relation(fmap: StateMap, r: Relation) -> Relation:
 
 @dataclass(frozen=True)
 class QuotientFts:
-    """A quotient system together with its projection bookkeeping."""
+    """A quotient system and its natural projection, ``class_of``."""
 
     quotient: Fts
     class_of: StateMap
-    classes: dict[str, frozenset[str]] = field(hash=False)
+
+    @property
+    def classes(self) -> dict[str, frozenset[str]]:
+        """``{class: its members}`` by least member, read off ``class_of``."""
+        return {c: frozenset(group) for c, group in members(self.class_of._table).items()}
 
 
 def quotient(f: Fts, r: Relation) -> QuotientFts:
@@ -228,19 +229,19 @@ def quotient(f: Fts, r: Relation) -> QuotientFts:
     """
     if r.left_universe != f.states or r.right_universe != f.states:
         raise UniverseError("relation universes do not match the system")
-    return _quotient_by_classes(f, r.equivalence_classes())
+    return _quotient(f, {s: block for block in r.equivalence_classes() for s in block})
 
 
-def _quotient_by_classes(f: Fts, blocks: list[frozenset[str]]) -> QuotientFts:
-    """Quotient by a partition given as its classes sorted by least member.
+def _quotient(f: Fts, class_of: dict[str, object]) -> QuotientFts:
+    """Quotient by a partition given as ``{state: class}``, with each class
+    renamed "[m]" after its least member m.
 
     One pass over the transitions takes the max of each edge's degree into
     (class of source, label, class of target), O(|E| log |E|).
     """
-    name_of = {block: f"[{min(block)}]" for block in blocks}
-    classes = {name_of[block]: block for block in blocks}
-    class_of = {s: name_of[block] for block in blocks for s in block}
-    qstates = frozenset(classes)
+    name_of = {c: f"[{group[0]}]" for c, group in members(class_of).items()}
+    class_of = {s: name_of[c] for s, c in class_of.items()}
+    qstates = frozenset(name_of.values())
     images: dict[tuple[str, str], dict[str, Degree]] = {}
     for source, label, degree, target in f.transitions():
         entries = images.setdefault((class_of[source], label), {})
@@ -248,15 +249,14 @@ def _quotient_by_classes(f: Fts, blocks: list[frozenset[str]]) -> QuotientFts:
         if entries.get(block, ZERO) < degree:
             entries[block] = degree
     qf = Fts(qstates, f.labels, class_of[f.init], images, name=f.name)
-    return QuotientFts(qf, StateMap(class_of, f.states, qstates), classes)
+    return QuotientFts(qf, StateMap(class_of, f.states, qstates))
 
 
 def minimize(f: Fts) -> QuotientFts:
     """Quotient by self-bisimilarity: the canonical smallest bisimilar
     system.  The result's self-bisimilarity is the diagonal.
 
-    The classes are those of the partition engine run on ``f`` alone, so no
-    pair relation is built.
+    The classes are those of the partition engine run on ``f`` alone, taken
+    as its ``{state: class}`` map, so no pair relation is built.
     """
-    groups = members(coarsest_partition((f,))[0]).values()
-    return _quotient_by_classes(f, [frozenset(group) for group in groups])
+    return _quotient(f, coarsest_partition((f,))[0])

@@ -16,17 +16,17 @@ one of the input :class:`Degree` values.
 Two kinds of walk use the kernel:
 
 * :func:`lang_table` and :func:`lang_equal_up_to` walk classes of k-step
-  bisimilarity, as :func:`fuzzts.partition.graded` gives them; that module
-  alone reads the engine's signatures.  All states of one class of round k
-  have the same supremum into each class of round k - 1 under each label,
-  so the maxima of a step's result over the round-(k-1) classes follow from
-  the maxima of its input over the round-k classes.  For a bound L, the
-  distribution after d labels is therefore kept as ``{class: degree}`` over
-  the classes of round L - d, a step follows ``level(L - d)`` into round
-  L - d - 1, and the height, the word's degree, is the same as on states.
-  :func:`lang_equal_up_to` walks the joint rounds of both systems and skips
-  a pair of class distributions as soon as they are equal, since every
-  extension then has equal degrees.
+  bisimilarity: :func:`fuzzts.partition.graded` gives the start classes as
+  ``{state: class}`` maps and each round as a successor map between
+  classes.  All states of one class of round k have the same supremum into
+  each class of round k - 1 under each label, so the maxima of a step's
+  result over the round-(k-1) classes follow from the maxima of its input
+  over the round-k classes.  For a bound L, the distribution after d labels
+  is therefore kept as ``{class: degree}`` over the classes of round L - d,
+  a step follows ``level(L - d)`` into round L - d - 1, and the height, the
+  word's degree, is the same as on states.  :func:`lang_table` stops at the
+  first length without words, and :func:`lang_equal_up_to` skips a pair of
+  equal class distributions, whose extensions all have equal degrees.
 * :func:`step`, :func:`delta_word`, :func:`lang_degree` and
   :func:`accept_degree` walk states, ``{state: degree}``: their results
   are per state or weigh final degrees, which bisimilarity does not keep.
@@ -121,12 +121,13 @@ def lang_table(f: Fts, state: str, max_len: int) -> dict[Word, Degree]:
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     _start(f, state)
-    index, block, level = graded((f,), max_len)
+    (classes,), level = graded((f,), max_len)
     labels = f.sorted_labels()
-    frontier: list[tuple[Word, dict[int, Degree]]] = [((), {block[index[0][state]]: ONE})]
+    frontier: list[tuple[Word, dict[int, Degree]]] = [((), {classes[state]: ONE})]
     table: dict[Word, Degree] = {(): ONE}
-    for left in range(max_len, 0, -1):
-        succ = level(left)
+    left = max_len
+    while frontier and left:
+        succ, left = level(left), left - 1
         next_frontier: list[tuple[Word, dict[int, Degree]]] = []
         for word, mu in frontier:
             for label in labels:
@@ -164,9 +165,9 @@ def lang_equal_up_to(
         raise ValueError("max_len must be >= 0")
     _start(f1, s1)
     _start(f2, s2)
-    index, block, level = graded((f1, f2), max_len)
+    (classes1, classes2), level = graded((f1, f2), max_len)
     labels = f1.sorted_labels()
-    stack = [(max_len, {block[index[0][s1]]: ONE}, {block[index[1][s2]]: ONE})]
+    stack = [(max_len, {classes1[s1]: ONE}, {classes2[s2]: ONE})]
     while stack:
         left, mu, nu = stack.pop()
         if mu == nu:

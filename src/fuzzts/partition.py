@@ -30,7 +30,7 @@ The classes of round k are k-step bisimilarity, so states that share one
 give every word of length <= k the same degree.  :func:`graded` hands
 the rounds to :mod:`fuzzts.language` as successor maps between classes, and
 that module walks words over classes instead of over states.  This module
-is the only one that reads a signature.
+is the only one that reads a signature or numbers the union's states.
 """
 
 from __future__ import annotations
@@ -95,24 +95,23 @@ def _rounds(edges: list[list[tuple[int, int, int]]]) -> Iterator[tuple[list[int]
 
 def graded(
     systems: Sequence[Fts], depth: int
-) -> tuple[list[dict[str, int]], list[int], Callable[[int], Level]]:
+) -> tuple[list[dict[str, int]], Callable[[int], Level]]:
     """The classes of the disjoint union of ``systems`` that a walk of up
     to ``depth`` labels needs.
 
-    Returns three things.  The state index gives one ``{state: int}`` dict
-    per system, numbering the n states of the union 0..n-1.  ``block[i]`` is
-    the class of state i in round ``depth``, or in the stable round if
-    refinement stops splitting before it.  ``level(k)``, for 1 <= k <=
-    ``depth``, is round k's successor map ``(class, label) -> [(class in
-    round k - 1, supremum)]``; past the stable round it returns the stable
-    round's map, since every later round repeats it.  Round 0 is the single
-    class 0.
+    Returns ``(classes, level)``.  ``classes`` holds one ``{state: class}``
+    dict per system, as :func:`coarsest_partition` does, for round
+    ``depth``, or for the stable round if refinement stops splitting before
+    it; n states make at most n classes, so that is round n at the latest.
+    ``level(k)``, for 1 <= k <= ``depth``, is round k's successor map
+    ``(class, label) -> [(class in round k - 1, supremum)]``, which past the
+    stable round is the stable round's.  Round 0 is the single class 0.
     """
     index, names, edges = _union(systems)
     n = len(edges)
     block = [0] * n
     levels: list[Level] = [{}]
-    for block, numbers in islice(_rounds(edges), depth):
+    for block, numbers in islice(_rounds(edges), min(depth, n)):
         succ: Level = {}
         for source, signature in enumerate(numbers):
             for key, sup in signature:
@@ -120,7 +119,7 @@ def graded(
                 succ.setdefault((source, names[label]), []).append((target, sup))
         levels.append(succ)
     last = len(levels) - 1
-    return index, block, lambda k: levels[min(k, last)]
+    return [{s: block[i] for s, i in ids.items()} for ids in index], lambda k: levels[min(k, last)]
 
 
 def coarsest_partition(systems: Sequence[Fts]) -> list[dict[str, int]]:

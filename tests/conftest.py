@@ -1,6 +1,14 @@
+import os
+from pathlib import Path
+
 import pytest
 
 import helpers
+
+# pyproject.toml puts src on this process's import path; the tests that run
+# ``python -m fuzzts`` in a subprocess get it through PYTHONPATH
+_SRC = str(Path(__file__).resolve().parent.parent / "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
 
 
 @pytest.fixture

@@ -6,6 +6,7 @@ import random
 import re
 
 from fuzzts import (
+    AlphabetError,
     Degree,
     DegreeError,
     Fts,
@@ -493,9 +494,8 @@ def quotient_oracle(f: Fts, r: Relation) -> QuotientFts:
     (block, label, target block) triple."""
     blocks = r.equivalence_classes()
     name_of = {block: f"[{min(block)}]" for block in blocks}
-    classes = {name_of[block]: block for block in blocks}
     class_of = {s: name_of[block] for block in blocks for s in block}
-    qstates = frozenset(classes)
+    qstates = frozenset(name_of.values())
     delta: dict[tuple[str, str], FuzzySet] = {}
     for block in blocks:
         for a in f.sorted_labels():
@@ -511,7 +511,21 @@ def quotient_oracle(f: Fts, r: Relation) -> QuotientFts:
             if entries:
                 delta[(name_of[block], a)] = FuzzySet(qstates, entries)
     qf = Fts(qstates, f.labels, class_of[f.init], delta, name=f.name)
-    return QuotientFts(qf, StateMap(class_of, f.states, qstates), classes)
+    return QuotientFts(qf, StateMap(class_of, f.states, qstates))
+
+
+def is_subsystem_oracle(f1: Fts, f2: Fts) -> bool:
+    """Definitional subsystem check: f1's states lie in f2's, and every
+    image of f1 equals f2's image of the same state and label."""
+    if f1.labels != f2.labels:
+        raise AlphabetError("label alphabets differ")
+    if not f1.states <= f2.states:
+        return False
+    for s in f1.sorted_states():
+        for a in f1.sorted_labels():
+            if dict(f1.delta(s, a).items()) != dict(f2.delta(s, a).items()):
+                return False
+    return True
 
 
 def is_equivalence_oracle(r: Relation) -> bool:

@@ -177,29 +177,41 @@ class TestIsSubsystem:
             is_subsystem(twin_fork, choice_late)
 
     def test_prop9_diagonal_characterization(self):
-        """is_subsystem agrees with checking the diagonal of the candidate's
-        states as a bisimulation."""
+        """is_subsystem agrees with the image-by-image oracle and with
+        checking the diagonal of the candidate's states as a bisimulation,
+        on restrictions of random systems, some closed under f2's edges,
+        some with a perturbed degree or a dropped edge, and some with a
+        state f2 lacks."""
         rng = random.Random(707)
         seen_true = seen_false = 0
-        for _ in range(40):
-            f2 = helpers.random_fts(rng, rng.randint(2, 4), ["a", "b"])
-            states = f2.sorted_states()
-            size = rng.randint(1, len(states))
-            subset = set(rng.sample(states, size))
-            # induced restriction: keep only internal edges
-            triples = [
-                (s, a, g, t)
-                for s, a, g, t in f2.transitions()
-                if s in subset and t in subset
-            ]
-            init = min(subset)
-            f1 = Fts.from_triples(subset, f2.labels, init, triples)
-            diag = Relation(f1.states, f2.states, {(s, s) for s in subset})
-            expected = check_bisimulation(f1, f2, diag).holds
-            assert is_subsystem(f1, f2) == expected
+        for _ in range(3000):
+            f2 = helpers.random_fts(rng, rng.randint(1, 5), ["a", "b"])
+            subset = set(rng.sample(f2.sorted_states(), rng.randint(1, len(f2.states))))
+            if rng.random() < 0.5:
+                # drop f2's edges that leave the subset
+                kept = [e for e in f2.transitions() if e[0] not in subset or e[3] in subset]
+                f2 = Fts.from_triples(f2.states, f2.labels, f2.init, kept)
+            # the restriction keeps only internal edges
+            triples = [e for e in f2.transitions() if e[0] in subset and e[3] in subset]
+            change = rng.choice(("none", "none", "degree", "drop"))
+            if change != "none" and triples:
+                s, a, g, t = triples.pop(rng.randrange(len(triples)))
+                if change == "degree":
+                    other = rng.choice([x for x in helpers.NONZERO_DEGREES if d(x) != g])
+                    triples.append((s, a, other, t))
+            foreign = rng.random() < 0.1
+            states = subset | {"x"} if foreign else subset
+            f1 = Fts.from_triples(states, f2.labels, min(subset), triples)
+            expected = helpers.is_subsystem_oracle(f1, f2)
+            assert is_subsystem(f1, f2) == expected, (f1, f2)
+            if foreign:
+                assert not expected
+            else:
+                diag = Relation(f1.states, f2.states, {(s, s) for s in subset})
+                assert check_bisimulation(f1, f2, diag).holds == expected, (f1, f2)
             seen_true += expected
             seen_false += not expected
-        assert seen_true and seen_false
+        assert seen_true >= 900 and seen_false >= 900
 
 
 class TestHomomorphism:
@@ -478,10 +490,10 @@ class TestAgainstOracles:
                 f = helpers.random_fts(rng, rng.randint(1, 6), labels)
                 rel = helpers.random_equivalence(rng, f)
             q = quotient(f, rel)
-            assert q == helpers.quotient_oracle(f, rel)
-            assert serialize_model(q.quotient) == serialize_model(
-                helpers.quotient_oracle(f, rel).quotient
-            )
+            expected = helpers.quotient_oracle(f, rel)
+            assert q == expected
+            assert list(q.classes.items()) == list(expected.classes.items())
+            assert serialize_model(q.quotient) == serialize_model(expected.quotient)
 
 
     def test_kernel_and_pull_match_pair_loops(self):
@@ -509,8 +521,8 @@ class TestAgainstOracles:
                 f = helpers.random_fts(rng, rng.randint(1, 8), labels)
             q = minimize(f)
             expected = quotient(f, self_bisimilarity(f))
-            assert q == expected
-            assert list(q.classes) == list(expected.classes)
+            assert q == expected == helpers.quotient_oracle(f, self_bisimilarity(f))
+            assert list(q.classes.items()) == list(expected.classes.items())
             assert serialize_model(q.quotient) == serialize_model(expected.quotient)
             merged += len(q.quotient.states) < len(f.states)
         assert merged > 100
@@ -629,6 +641,20 @@ class TestMinimize:
         q = minimize(choice_early)
         assert len(q.quotient.states) == 4
         assert q.classes["[t2]"] == frozenset({"t2", "t3"})
+
+    def test_classes_are_read_off_the_projection(self, choice_early):
+        """``classes`` is derived from ``class_of`` on each read, so
+        clearing the dict it returns changes neither equality nor hash."""
+        q = minimize(choice_early)
+        h = hash(q)
+        q.classes.clear()
+        assert q == minimize(choice_early) and hash(q) == h
+        assert q.classes == {
+            "[t0]": frozenset({"t0"}),
+            "[t1]": frozenset({"t1"}),
+            "[t1']": frozenset({"t1'"}),
+            "[t2]": frozenset({"t2", "t3"}),
+        }
 
     def test_idempotent_on_state_count(self, dup_branch):
         q = minimize(dup_branch)

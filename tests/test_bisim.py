@@ -424,30 +424,37 @@ class TestEngineAgainstRefinement:
             long_traces += len(trace) > 3
             # refinement splits at most n - 1 times, so round n is stable
             n = len(f1.states) + len(f2.states)
-            (left, right), _, _ = graded((f1, f2), 0)
-            blocks = []
+            rounds = []
             for k in range(n + 2):
-                blocks.append(graded((f1, f2), k)[1])
-                if k and blocks[k] == blocks[k - 1]:
+                rounds.append(graded((f1, f2), k)[0])
+                if k and rounds[k] == rounds[k - 1]:
                     break
-            stable = len(blocks) - 1
-            assert blocks[0] == [0] * n and blocks[stable] == blocks[stable - 1]
+            stable = len(rounds) - 1
+            assert rounds[0] == [dict.fromkeys(f1.states, 0), dict.fromkeys(f2.states, 0)]
+            assert rounds[stable] == rounds[stable - 1]
             deeper = range(stable + 1, max(len(trace), stable + 1) + 2)
-            blocks += [graded((f1, f2), k)[1] for k in deeper]
-            assert all(len(set(a)) < len(set(b)) for a, b in zip(blocks, blocks[1:stable]))
-            assert all(block == blocks[stable] for block in blocks[stable:])
-            for k, block in enumerate(blocks[1:], 1):
+            rounds += [graded((f1, f2), k)[0] for k in deeper]
+            assert all(
+                _class_count(a) < _class_count(b) for a, b in zip(rounds, rounds[1:stable])
+            )
+            assert all(classes == rounds[stable] for classes in rounds[stable:])
+            for k, (left, right) in enumerate(rounds[1:], 1):
                 related = {
                     (s, t)
-                    for s, i in left.items()
-                    for t, j in right.items()
-                    if block[i] == block[j]
+                    for s, c in left.items()
+                    for t, e in right.items()
+                    if c == e
                 }
                 expected = trace[min(k, len(trace) - 1)]
                 assert Relation(f1.states, f2.states, related) == expected, (f1, f2, k)
                 checks += 1
         assert checks >= 2400
         assert long_traces >= 250
+
+
+def _class_count(class_maps) -> int:
+    """The number of classes that per-system ``{state: class}`` maps use."""
+    return len({c for class_of in class_maps for c in class_of.values()})
 
 
 def _partition(class_maps):
@@ -490,8 +497,7 @@ class TestThresholdCutOracle:
             assert bisimilarity(f1, f2) == Relation(f1.states, f2.states, related), (f1, f2)
             stable = len(cut) - 1
             for k in range(stable + 2):
-                index, block, _ = graded((f1, f2), k)
-                engine = [{s: block[i] for s, i in ids.items()} for ids in index]
+                engine, _ = graded((f1, f2), k)
                 assert _partition(engine) == _partition(cut[min(k, stable)]), (f1, f2, k)
                 rounds += 1
         assert len(cases) == 642 and rounds >= 3000

@@ -2,6 +2,7 @@ import argparse
 import errno
 import json
 import os
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -125,6 +126,25 @@ class TestLangTable:
             capsys, "lang-table", DATA / "choice_early.fts", "--max-len", "2"
         )
         assert out_late == out_early
+
+    def test_huge_max_len_prints_the_full_table(self, capsys):
+        def out_of_time(signum, frame):
+            raise TimeoutError("lang-table --max-len 2**63 exceeded 1 s")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            code, out, err = invoke(
+                capsys, "lang-table", DATA / "choice_late.fts", "--max-len", 2**63
+            )
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert (code, err) == (0, "")
+        _, expected, _ = invoke(
+            capsys, "lang-table", DATA / "choice_late.fts", "--max-len", "4"
+        )
+        assert out == expected
 
     def test_negative_max_len(self, capsys):
         code, _, err = invoke(

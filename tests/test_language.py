@@ -321,8 +321,11 @@ class TestAgainstOracles:
 def _rounds_to_stability(*systems):
     """The first round that splits no class of the one before, on the
     disjoint union of ``systems``."""
+    def class_count(k):
+        return len({c for classes in graded(systems, k)[0] for c in classes.values()})
+
     k = 1
-    while len(set(graded(systems, k)[1])) > len(set(graded(systems, k - 1)[1])):
+    while class_count(k) > class_count(k - 1):
         k += 1
     return k
 
@@ -411,6 +414,28 @@ class TestBoundEdges:
             signal.setitimer(signal.ITIMER_REAL, 0)
             signal.signal(signal.SIGALRM, previous)
         assert equal
+
+    def test_huge_bound_on_an_acyclic_system_within_time(self, choice_late):
+        """A bound past every index size: the engine runs no more rounds
+        than there are states, and the table stops at the first length
+        without words, so both answer as at a bound of 4."""
+        huge = 2**63
+
+        def out_of_time(signum, frame):
+            raise TimeoutError("a bound of 2**63 exceeded 1 s")
+
+        previous = signal.signal(signal.SIGALRM, out_of_time)
+        signal.setitimer(signal.ITIMER_REAL, 1.0)
+        try:
+            table = lang_table(choice_late, "s0", huge)
+            equal = lang_equal_up_to(choice_late, "s0", choice_late, "s1", huge)
+            same = lang_equal_up_to(choice_late, "s2", choice_late, "s3", huge)
+        finally:
+            signal.setitimer(signal.ITIMER_REAL, 0)
+            signal.signal(signal.SIGALRM, previous)
+        assert list(table.items()) == list(lang_table(choice_late, "s0", 4).items())
+        assert len(table) == 4
+        assert not equal and same
 
 
 # ------------------------------------------------------------------ scale
