@@ -10,7 +10,6 @@ minimization, plus a text model format and a command-line front end.
 from .algebra import (
     NotHomomorphismError,
     QuotientFts,
-    StateMap,
     check_homomorphism,
     graph_of,
     hom_image,
@@ -30,10 +29,7 @@ from .bisim import (
     bisimilarity,
     check_automaton_bisimulation,
     check_bisimulation,
-    check_bisimulation_naive,
     check_strong_bisimulation,
-    enumerate_bisimulations_bruteforce,
-    iter_bisimulations_bruteforce,
     iterate_refinement,
     refine,
     self_bisimilarity,
@@ -44,9 +40,9 @@ from .core import (
     FuzzyAutomaton,
     FuzzySet,
     Relation,
+    StateMap,
     Word,
     decompose,
-    is_correlational,
 )
 from .degrees import ONE, SCALE, ZERO, Degree, as_degree
 from .errors import (
@@ -74,6 +70,12 @@ from .modelfile import (
     serialize_map,
     serialize_model,
     serialize_relation,
+)
+from .oracles import (
+    check_bisimulation_naive,
+    enumerate_bisimulations_bruteforce,
+    is_correlational,
+    iter_bisimulations_bruteforce,
 )
 
 __all__ = [

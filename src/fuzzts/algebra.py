@@ -6,51 +6,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bisim import Verdict, Witness, check_bisimulation
-from .core import Fts, Relation, Value, members
+from .core import Fts, Relation, StateMap, check_alphabets, members
 from .degrees import ONE, ZERO, Degree
-from .errors import AlphabetError, ModelError, UniverseError
+from .errors import ModelError, UniverseError
 from .partition import coarsest_partition
-
-
-class StateMap(Value):
-    """A total map between the state sets of two systems."""
-
-    __slots__ = ("domain", "codomain", "_table")
-
-    def __init__(self, mapping, domain, codomain):
-        domain = frozenset(domain)
-        codomain = frozenset(codomain)
-        table = dict(mapping)
-        if set(table) != domain:
-            raise ModelError("map is not total on the domain")
-        for value in table.values():
-            if value not in codomain:
-                raise UniverseError(f"map image {value!r} is outside the codomain")
-        object.__setattr__(self, "domain", domain)
-        object.__setattr__(self, "codomain", codomain)
-        object.__setattr__(self, "_table", table)
-
-    @classmethod
-    def identity(cls, states) -> "StateMap":
-        states = frozenset(states)
-        return cls({s: s for s in states}, states, states)
-
-    def __call__(self, state: str) -> str:
-        if state not in self._table:
-            raise UniverseError(f"unknown state {state!r}")
-        return self._table[state]
-
-    def items(self) -> list[tuple[str, str]]:
-        return sorted(self._table.items())
-
-    def image(self) -> frozenset[str]:
-        return frozenset(self._table.values())
-
-    def __hash__(self):
-        return hash((self.domain, self.codomain, frozenset(self._table.items())))
-
-    def __repr__(self):
-        return f"StateMap({self._table!r})"
 
 
 def product_id(left: str, right: str) -> str:
@@ -96,8 +55,7 @@ def parallel_compose(f1: Fts, f2: Fts) -> Fts:
 def is_subsystem(f1: Fts, f2: Fts) -> bool:
     """Whether f1 is literally a part of f2: nested state sets, and f1's
     diagonal a bisimulation, so no f2-transition leaves f1's states."""
-    if f1.labels != f2.labels:
-        raise AlphabetError("label alphabets differ")
+    check_alphabets(f1, f2)
     if not f1.states <= f2.states:
         return False
     diagonal = Relation(f1.states, f2.states, {(s, s) for s in f1.states})
@@ -114,8 +72,7 @@ def check_homomorphism(f1: Fts, f2: Fts, fmap: StateMap) -> Verdict:
     result with the stored entries of delta2(f(s), a); a mismatch names the
     least state where the two differ.  Cost O(|S1|*|A| + |E1| + |E2|).
     """
-    if f1.labels != f2.labels:
-        raise AlphabetError("label alphabets differ")
+    check_alphabets(f1, f2)
     if fmap.domain != f1.states or fmap.codomain != f2.states:
         raise UniverseError("map does not run between the two state sets")
     mapped_init = fmap(f1.init)

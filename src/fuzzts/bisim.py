@@ -12,28 +12,30 @@ related pair (s, t) and label:
      bipartite components, the image of s over U and the image of t over V
      have equal suprema.
 
-``check_bisimulation_naive`` keeps the literal subset-enumeration form as an
-oracle for the reduction.  Verdicts carry the lexicographically least failing
-item, ordered by (left state, right state, label), then within one such
-triple: left support violations by state, right support violations by state,
-block mismatches by block index.
+The literal subset-pair form of the definition and the brute-force
+enumeration of bisimulations are exponential oracles for the reduction; they
+live in :mod:`fuzzts.oracles`.  Verdicts carry the lexicographically least
+failing item, ordered by (left state, right state, label), then within one
+such triple: left support violations by state, right support violations by
+state, block mismatches by block index.
 
 :func:`bisimilarity` runs on the partition engine of :mod:`fuzzts.partition`.
+:func:`check_strong_bisimulation` is the per-transition matching check.
 :func:`refine` and :func:`iterate_refinement` keep the definitional
 greatest-fixed-point iteration over explicit relations as the reference it
-is tested against.
+is tested against; they stay here while the benchmark's tracer reads
+``bisim.refine`` by module and name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 
 from .core import (
-    Blocks, Fts, FuzzyAutomaton, Relation, decompose, is_correlational, members,
+    Blocks, Fts, FuzzyAutomaton, Relation, adjacency, check_alphabets, decompose, members,
 )
 from .degrees import Degree, ZERO
-from .errors import AlphabetError, CapError, UniverseError
+from .errors import UniverseError
 from .partition import coarsest_partition
 
 
@@ -60,8 +62,7 @@ class Verdict:
 
 
 def _check_setting(f1: Fts, f2: Fts, r: Relation) -> None:
-    if f1.labels != f2.labels:
-        raise AlphabetError("label alphabets differ")
+    check_alphabets(f1, f2)
     if r.left_universe != f1.states or r.right_universe != f2.states:
         raise UniverseError("relation universes do not match the systems")
 
@@ -140,72 +141,24 @@ def check_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     return Verdict(True)
 
 
-def _subsets(states: list[str]):
-    for mask in range(1 << len(states)):
-        yield frozenset(s for i, s in enumerate(states) if mask >> i & 1)
-
-
-def check_bisimulation_naive(
-    f1: Fts, f2: Fts, r: Relation, max_states: int = 12
-) -> bool:
-    """Literal definitional check: enumerate every subset pair, keep the
-    correlational ones, and compare suprema directly.
-
-    Exponential in the combined state count; refuses above ``max_states``.
-    """
-    _check_setting(f1, f2, r)
-    if len(f1.states) + len(f2.states) > max_states:
-        raise CapError(
-            f"cap exceeded: {len(f1.states)} + {len(f2.states)} states > {max_states}"
-        )
-    correlational = [
-        (u, v)
-        for u in _subsets(f1.sorted_states())
-        for v in _subsets(f2.sorted_states())
-        if is_correlational(r, u, v)
-    ]
-    for s, t in r.pairs:
-        for a in f1.labels:
-            mu = f1.delta(s, a)
-            eta = f2.delta(t, a)
-            for u, v in correlational:
-                if mu.sup(u) != eta.sup(v):
-                    return False
-    return True
-
-
 def check_strong_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     """Per-transition matching check: every positive move of one side must be
     matched by a related target reached with at least the same degree."""
     _check_setting(f1, f2, r)
-    partners_right: dict[str, list[str]] = {}
-    partners_left: dict[str, list[str]] = {}
-    for s, t in r.pairs:
-        partners_right.setdefault(s, []).append(t)
-        partners_left.setdefault(t, []).append(s)
+    rights, lefts = adjacency(r)
     labels = f1.sorted_labels()
+    # (witness kind, partners of a target on the answering side, right side moves)
+    directions = (("left-move", rights, False), ("right-move", lefts, True))
     for s, t in r.sorted_pairs():
         for a in labels:
-            mu = f1.delta(s, a)
-            eta = f2.delta(t, a)
-            for target, moved in mu.items():
-                best = max(
-                    (eta(partner) for partner in partners_right.get(target, ())),
-                    default=ZERO,
-                )
-                if best < moved:
-                    return Verdict(
-                        False, Witness(s, t, a, "left-move", target, moved, best)
-                    )
-            for target, moved in eta.items():
-                best = max(
-                    (mu(partner) for partner in partners_left.get(target, ())),
-                    default=ZERO,
-                )
-                if best < moved:
-                    return Verdict(
-                        False, Witness(s, t, a, "right-move", target, best, moved)
-                    )
+            images = (f1.delta(s, a), f2.delta(t, a))
+            for kind, partners, flip in directions:
+                moves, answers = images[::-1] if flip else images
+                for target, moved in moves.items():
+                    best = max(map(answers, partners.get(target, ())), default=ZERO)
+                    if best < moved:
+                        degrees = (best, moved) if flip else (moved, best)
+                        return Verdict(False, Witness(s, t, a, kind, target, *degrees))
     return Verdict(True)
 
 
@@ -286,8 +239,7 @@ def are_bisimilar(f1: Fts, f2: Fts) -> bool:
 def _classes(f1: Fts, f2: Fts) -> tuple[dict[str, int], dict[str, int]]:
     """Class numbers of the states of each system in the coarsest stable
     partition of their disjoint union."""
-    if f1.labels != f2.labels:
-        raise AlphabetError("label alphabets differ")
+    check_alphabets(f1, f2)
     class_of = coarsest_partition((f1, f2))
     return class_of[0], class_of[-1]
 
@@ -305,35 +257,6 @@ def z_closure(r: Relation) -> Relation:
     (s,t), (s',t), (s',t') present forces (s,t').  That is the union of
     U x V over the blocks (U, V) of the relation's decomposition."""
     return Relation.from_blocks(r.left_universe, r.right_universe, decompose(r))
-
-
-def iter_bisimulations_bruteforce(f1: Fts, f2: Fts, max_pairs: int = 14):
-    """Yield every subset of the state product that passes
-    :func:`check_bisimulation`, in mask order over sorted pairs.
-
-    Exponential; refuses above ``max_pairs`` product states.
-    """
-    if f1.labels != f2.labels:
-        raise AlphabetError("label alphabets differ")
-    pair_list = sorted(product(f1.sorted_states(), f2.sorted_states()))
-    if len(pair_list) > max_pairs:
-        raise CapError(f"cap exceeded: {len(pair_list)} product pairs > {max_pairs}")
-    for mask in range(1 << len(pair_list)):
-        subset = frozenset(p for i, p in enumerate(pair_list) if mask >> i & 1)
-        rel = Relation(f1.states, f2.states, subset)
-        if check_bisimulation(f1, f2, rel).holds:
-            yield rel
-
-
-def enumerate_bisimulations_bruteforce(
-    f1: Fts, f2: Fts, max_pairs: int = 14
-) -> Relation:
-    """Union of all bisimulations found by exhaustive subset enumeration;
-    an independent oracle for :func:`bisimilarity`."""
-    union: set[tuple[str, str]] = set()
-    for rel in iter_bisimulations_bruteforce(f1, f2, max_pairs):
-        union |= rel.pairs
-    return Relation(f1.states, f2.states, union)
 
 
 def check_automaton_bisimulation(

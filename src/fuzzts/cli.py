@@ -37,13 +37,13 @@ from .bisim import (
     bisimilarity,
     check_automaton_bisimulation,
     check_bisimulation,
-    check_bisimulation_naive,
     check_strong_bisimulation,
 )
 from .core import Fts, FuzzyAutomaton, Word
 from .errors import FtsError, ParseError
 from .language import accept_degree, lang_degree, lang_table
 from .modelfile import parse_map, parse_model, parse_relation, serialize_model
+from .oracles import check_bisimulation_naive
 
 
 @functools.cache
@@ -150,7 +150,10 @@ def _base(model: Fts | FuzzyAutomaton) -> Fts:
 
 
 def _system(path: str) -> Fts:
-    return _base(_load(parse_model, path))
+    model = _load(parse_model, path)
+    if isinstance(model, FuzzyAutomaton):
+        raise FtsError(f"{path}: model has final degrees, which this command would drop")
+    return model
 
 
 def _write(path: str, text: str) -> None:
@@ -247,7 +250,8 @@ def _validate(args):
 
 
 def _lang(args):
-    base = _system(args.model)
+    # a state's language ignores final degrees, so an automaton is read as its base
+    base = _base(_load(parse_model, args.model))
     state = _state_arg(base, args)
     word = _parse_word(args.word)
     degree = lang_degree(base, state, word)
@@ -256,7 +260,7 @@ def _lang(args):
 
 
 def _lang_table(args):
-    base = _system(args.model)
+    base = _base(_load(parse_model, args.model))
     state = _state_arg(base, args)
     if args.max_len < 0:
         raise FtsError("--max-len must be >= 0")

@@ -1,4 +1,5 @@
-"""Core data model: fuzzy sets, fuzzy transition systems, relations.
+"""Core data model: fuzzy sets, fuzzy transition systems, relations, state
+maps, and the checks shared by the other modules.
 
 Everything here is a value: immutable after construction, deletion included,
 equal to another instance of its type with the same contents, hashable, and
@@ -17,7 +18,7 @@ from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
 from .degrees import ZERO, Degree, as_degree
-from .errors import ModelError, UniverseError
+from .errors import AlphabetError, ModelError, UniverseError
 
 #: A word is a finite sequence of labels; ``()`` is the empty word.
 Word = tuple[str, ...]
@@ -35,6 +36,12 @@ def check_ident(kind: str, text: str) -> str:
     if not isinstance(text, str) or _IDENT_RE.fullmatch(text) is None:
         raise ModelError(f"bad {kind} identifier: {text!r}")
     return text
+
+
+def check_alphabets(f1: Fts, f2: Fts) -> None:
+    """Raise ``AlphabetError`` unless the two systems share their labels."""
+    if f1.labels != f2.labels:
+        raise AlphabetError("label alphabets differ")
 
 
 class Value:
@@ -431,6 +438,46 @@ class Relation(Value):
         return f"Relation{{{inner}}}"
 
 
+class StateMap(Value):
+    """A total map between the state sets of two systems."""
+
+    __slots__ = ("domain", "codomain", "_table")
+
+    def __init__(self, mapping, domain, codomain):
+        domain, codomain = frozenset(domain), frozenset(codomain)
+        table = dict(mapping)
+        if set(table) != domain:
+            raise ModelError("map is not total on the domain")
+        for value in table.values():
+            if value not in codomain:
+                raise UniverseError(f"map image {value!r} is outside the codomain")
+        object.__setattr__(self, "domain", domain)
+        object.__setattr__(self, "codomain", codomain)
+        object.__setattr__(self, "_table", table)
+
+    @classmethod
+    def identity(cls, states) -> "StateMap":
+        states = frozenset(states)
+        return cls({s: s for s in states}, states, states)
+
+    def __call__(self, state: str) -> str:
+        if state not in self._table:
+            raise UniverseError(f"unknown state {state!r}")
+        return self._table[state]
+
+    def items(self) -> list[tuple[str, str]]:
+        return sorted(self._table.items())
+
+    def image(self) -> frozenset[str]:
+        return frozenset(self._table.values())
+
+    def __hash__(self):
+        return hash((self.domain, self.codomain, frozenset(self._table.items())))
+
+    def __repr__(self):
+        return f"StateMap({self._table!r})"
+
+
 def members(class_of: Mapping[str, Hashable]) -> dict[Hashable, list[str]]:
     """Group states by class: ``{class: its states, sorted}``, with the
     classes in order of least member.  A map read this way gives the
@@ -439,6 +486,16 @@ def members(class_of: Mapping[str, Hashable]) -> dict[Hashable, list[str]]:
     for state in sorted(class_of):
         groups.setdefault(class_of[state], []).append(state)
     return groups
+
+
+def adjacency(relation: Relation) -> tuple[dict[str, list[str]], dict[str, list[str]]]:
+    """A relation's adjacency maps, ``{left: its rights}`` and ``{right: its lefts}``."""
+    rights: dict[str, list[str]] = {}
+    lefts: dict[str, list[str]] = {}
+    for s, t in relation.pairs:
+        rights.setdefault(s, []).append(t)
+        lefts.setdefault(t, []).append(s)
+    return rights, lefts
 
 
 def decompose(relation: Relation) -> Blocks:
@@ -450,14 +507,10 @@ def decompose(relation: Relation) -> Blocks:
     correlational exactly when U and V consist of the two sides of one set
     of blocks plus arbitrary such outside states.
 
-    A walk over the relation's two adjacency maps, started from each left
-    state in sorted order, finds each block once: O(|pairs|) plus the sort.
+    A walk over the two :func:`adjacency` maps, started from each left state
+    in sorted order, finds each block once: O(|pairs|) plus the sort.
     """
-    rights: dict[str, list[str]] = {}
-    lefts: dict[str, list[str]] = {}
-    for s, t in relation.pairs:
-        rights.setdefault(s, []).append(t)
-        lefts.setdefault(t, []).append(s)
+    rights, lefts = adjacency(relation)
     blocks = []
     for start in sorted(rights):
         if start not in rights:  # a walk pops each left state it reaches
@@ -474,20 +527,3 @@ def decompose(relation: Relation) -> Blocks:
                             stack.append(s)
         blocks.append((frozenset(u), frozenset(v)))
     return tuple(blocks)
-
-
-def is_correlational(relation: Relation, left: Iterable[str], right: Iterable[str]) -> bool:
-    """Definitional test: the relation edges with source in ``left`` are
-    exactly the edges with target in ``right``.
-
-    This is the oracle the block decomposition is validated against.
-    """
-    left = frozenset(left)
-    right = frozenset(right)
-    if not left <= relation.left_universe:
-        raise UniverseError("left set outside the relation's left universe")
-    if not right <= relation.right_universe:
-        raise UniverseError("right set outside the relation's right universe")
-    restricted_by_source = {(s, t) for s, t in relation.pairs if s in left}
-    restricted_by_target = {(s, t) for s, t in relation.pairs if t in right}
-    return restricted_by_source == restricted_by_target

@@ -39,9 +39,9 @@ from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from .core import Fts, FuzzyAutomaton, FuzzySet, Word
+from .core import Fts, FuzzyAutomaton, FuzzySet, Word, check_alphabets
 from .degrees import ONE, ZERO, Degree
-from .errors import AlphabetError, UniverseError
+from .errors import UniverseError
 from .partition import graded
 
 _Successors = dict[tuple[Hashable, str], list[tuple[Hashable, Degree]]]
@@ -159,8 +159,7 @@ def lang_equal_up_to(
     sides).  Start states that are ``max_len``-step bisimilar are answered
     at once.
     """
-    if f1.labels != f2.labels:
-        raise AlphabetError("label alphabets differ")
+    check_alphabets(f1, f2)
     if max_len < 0:
         raise ValueError("max_len must be >= 0")
     _start(f1, s1)

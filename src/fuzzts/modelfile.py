@@ -28,8 +28,7 @@ from __future__ import annotations
 
 from collections import defaultdict
 
-from .algebra import StateMap
-from .core import Fts, FuzzyAutomaton, FuzzySet, Relation, check_ident
+from .core import Fts, FuzzyAutomaton, FuzzySet, Relation, StateMap, check_ident
 from .degrees import Degree
 from .errors import DegreeError, ModelError, ParseError
 

@@ -384,6 +384,42 @@ def check_bisimulation_oracle(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     return Verdict(True)
 
 
+def check_strong_bisimulation_oracle(f1: Fts, f2: Fts, r: Relation) -> Verdict:
+    """The per-transition matching check with one loop per direction and its
+    own partner lists: for each related pair and label, every left move,
+    then every right move, must be answered by a partner of its target with
+    at least its degree.  Assumes matching alphabets and universes."""
+    partners_right: dict[str, list[str]] = {}
+    partners_left: dict[str, list[str]] = {}
+    for s, t in r.pairs:
+        partners_right.setdefault(s, []).append(t)
+        partners_left.setdefault(t, []).append(s)
+    labels = f1.sorted_labels()
+    for s, t in r.sorted_pairs():
+        for a in labels:
+            mu = f1.delta(s, a)
+            eta = f2.delta(t, a)
+            for target, moved in mu.items():
+                best = max(
+                    (eta(partner) for partner in partners_right.get(target, ())),
+                    default=ZERO,
+                )
+                if best < moved:
+                    return Verdict(
+                        False, Witness(s, t, a, "left-move", target, moved, best)
+                    )
+            for target, moved in eta.items():
+                best = max(
+                    (mu(partner) for partner in partners_left.get(target, ())),
+                    default=ZERO,
+                )
+                if best < moved:
+                    return Verdict(
+                        False, Witness(s, t, a, "right-move", target, best, moved)
+                    )
+    return Verdict(True)
+
+
 def components_oracle(r: Relation) -> tuple[tuple[frozenset[str], frozenset[str]], ...]:
     """The bipartite components of a relation by merging: one block per
     pair, then blocks that share a state joined until none do; ordered by

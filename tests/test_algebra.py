@@ -433,6 +433,10 @@ class TestQuotient:
         with pytest.raises(ModelError, match="not an equivalence"):
             quotient(twin_fork, rel)
 
+    def test_rejects_relation_over_other_states(self, twin_fork, choice_late):
+        with pytest.raises(UniverseError, match="do not match the system"):
+            quotient(twin_fork, Relation.diagonal(choice_late.states))
+
     def test_prop12_quotient_map_hom_iff_bisimulation(self):
         """An equivalence is a bisimulation exactly when its projection map
         is a homomorphism onto the quotient."""

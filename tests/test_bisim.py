@@ -1,5 +1,6 @@
 import random
 import signal
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,8 @@ from fuzzts import (
     FuzzySet,
     Relation,
     UniverseError,
+    Verdict,
+    Witness,
     ZERO,
     are_bisimilar,
     bisimilarity,
@@ -49,6 +52,12 @@ class TestCheckBisimulation:
         left, right, rel = skew_pair
         assert check_bisimulation(left, right, rel).holds
         assert check_bisimulation_naive(left, right, rel)
+
+    def test_verdict_truth_is_holds(self, twin_fork):
+        rel = Relation(twin_fork.states, twin_fork.states, {("s0", "s0")})
+        failed = check_bisimulation(twin_fork, twin_fork, rel)
+        assert not failed and failed.witness is not None
+        assert Verdict(True) and not Verdict(False, Witness("s", "t"))
 
     def test_example_quotient_relation_holds(self, dup_branch):
         reduced = minimize(dup_branch).quotient
@@ -210,6 +219,25 @@ class TestCheckStrongBisimulation:
                 strong_seen += 1
                 assert check_bisimulation(f1, f2, rel).holds
         assert strong_seen > 5
+
+    def test_matches_two_loop_oracle(self, skew_pair):
+        """Verdict and witness equal the one-loop-per-direction oracle's on
+        seeded relations over seeded pairs, on the skew pair and its
+        z-closure, with both witness kinds and enough holding cases seen."""
+        rng = random.Random(31415)
+        left, right, rel = skew_pair
+        cases = [(left, right, rel), (left, right, z_closure(rel))]
+        for _ in range(400):
+            f1, f2 = helpers.random_pair(rng)
+            cases.append((f1, f2, helpers.random_relation(rng, f1, f2, rng.random())))
+            cases.append((f1, f2, bisimilarity(f1, f2)))
+        outcomes = Counter()
+        for f1, f2, r in cases:
+            verdict = check_strong_bisimulation(f1, f2, r)
+            assert verdict == helpers.check_strong_bisimulation_oracle(f1, f2, r), (f1, f2, r)
+            outcomes[verdict.witness.kind if verdict.witness else "holds"] += 1
+        assert outcomes["holds"] >= 500, outcomes
+        assert outcomes["left-move"] >= 150 and outcomes["right-move"] >= 100, outcomes
 
 
 class TestRefine:
@@ -517,6 +545,10 @@ class TestEnumerateBruteforce:
     def test_cap(self, dup_branch):
         with pytest.raises(CapError, match="cap exceeded"):
             enumerate_bisimulations_bruteforce(dup_branch, dup_branch)
+
+    def test_alphabet_mismatch(self, choice_late, twin_fork):
+        with pytest.raises(AlphabetError):
+            next(iter_bisimulations_bruteforce(choice_late, twin_fork))
 
     def test_matches_fixpoint_on_random_pairs(self):
         rng = random.Random(654321)

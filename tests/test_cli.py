@@ -169,6 +169,54 @@ class TestAccept:
         assert "no final degrees" in err
 
 
+class TestAutomatonOperands:
+    """Commands on plain systems refuse an automaton operand, whose final
+    degrees they would drop, and name its file; the language commands read
+    the automaton's base, since a state's language ignores final degrees."""
+
+    ACCEPT, LATE = DATA / "choice_accept.fts", DATA / "choice_late.fts"
+
+    @pytest.mark.parametrize("argv", [
+        ["bisimilar", "{A}", "{P}"],
+        ["bisimilar", "{P}", "{A}", "--print-relation"],
+        ["minimize", "{A}", "-o", "{out}"],
+        ["compose", "{A}", "{P}", "-o", "{out}"],
+        ["compose", "{P}", "{A}", "-o", "{out}"],
+        ["quotient", "{A}", "--relation", "{rel}", "-o", "{out}"],
+        ["subsystem", "{A}", "{P}"],
+        ["subsystem", "{P}", "{A}"],
+        ["hom-check", "{A}", "{P}", "--map", "{map}"],
+        ["hom-check", "{P}", "{A}", "--map", "{map}"],
+        ["hom-image", "{A}", "{P}", "--map", "{map}", "-o", "{out}"],
+        ["hom-image", "{P}", "{A}", "--map", "{map}", "-o", "{out}"],
+    ])
+    def test_refused_with_the_file_named(self, capsys, tmp_path, argv):
+        files = {
+            "A": self.ACCEPT, "P": self.LATE, "out": tmp_path / "out.fts",
+            "rel": tmp_path / "diag.rel", "map": tmp_path / "id.map",
+        }
+        files["rel"].write_text("".join(f"rel: s{i} s{i}\n" for i in range(4)))
+        files["map"].write_text("".join(f"map: s{i} -> s{i}\n" for i in range(4)))
+        code, out, err = invoke(capsys, *(a.format(**files) for a in argv))
+        assert (code, out) == (2, "")
+        drop = "model has final degrees, which this command would drop"
+        assert err == f"error: {self.ACCEPT}: {drop}\n"
+        assert not files["out"].exists()
+        # the same command on the plain system runs
+        code, _, _ = invoke(capsys, *(a.format(**{**files, "A": self.LATE}) for a in argv))
+        assert code in (0, 1)
+
+    @pytest.mark.parametrize("argv", [
+        ["lang", "--word", "a b"],
+        ["lang", "--state", "s1", "--word", "c"],
+        ["lang-table", "--max-len", "3"],
+    ])
+    def test_language_reads_the_base(self, capsys, argv):
+        on_automaton = invoke(capsys, argv[0], self.ACCEPT, *argv[1:])
+        assert on_automaton == invoke(capsys, argv[0], self.LATE, *argv[1:])
+        assert on_automaton[0] == 0
+
+
 class TestCheckBisim:
     def test_holds(self, capsys):
         code, out, _ = invoke(

@@ -79,6 +79,7 @@ CASES = [
     ["bisimilar", "choice_late.fts", "choice_early.fts", "--print-relation"],
     ["bisimilar", "dup_branch.fts", "dup_min.fts", "--print-relation"],
     ["bisimilar", "choice_late.fts", "choice_late.fts"],
+    ["bisimilar", "choice_accept.fts", "accept_other.fts"],
     ["minimize", "dup_branch.fts", "-o", "min.fts"],
     ["minimize", "choice_accept.fts", "-o", "min.fts"],
     ["compose", "skew_left.fts", "skew_right.fts", "-o", "prod.fts"],

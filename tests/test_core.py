@@ -108,6 +108,10 @@ class TestFts:
             Fts({"s"}, {"a"}, "x")
         with pytest.raises(UniverseError):
             Fts({"s"}, {"a"}, "s", {("s", "a"): {"x": "1"}})
+        with pytest.raises(ModelError, match="unknown state 'x' in transition function"):
+            Fts({"s"}, {"a"}, "s", {("x", "a"): {"s": "1"}})
+        with pytest.raises(ModelError, match="unknown label 'z' in transition function"):
+            Fts({"s"}, {"a"}, "s", {("s", "z"): {"s": "1"}})
 
     def test_identifier_charset(self):
         # product and class ids are legal states; whitespace and colons are not
@@ -412,5 +416,7 @@ class TestDecompose:
 
     def test_is_correlational_universe_checked(self, skew_pair):
         _, _, rel = skew_pair
-        with pytest.raises(UniverseError):
+        with pytest.raises(UniverseError, match="left set"):
             is_correlational(rel, {"zz"}, set())
+        with pytest.raises(UniverseError, match="right set"):
+            is_correlational(rel, set(), {"s0"})
