@@ -6,7 +6,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bisim import Verdict, Witness, check_bisimulation
-from .core import Fts, Relation, StateMap, check_alphabets, members
+from .core import (
+    Fts, Relation, StateMap, check_alphabets, check_relation, image_sups, least_difference, members
+)
 from .degrees import ONE, ZERO, Degree
 from .errors import ModelError, UniverseError
 from .partition import coarsest_partition
@@ -67,10 +69,10 @@ def check_homomorphism(f1: Fts, f2: Fts, fmap: StateMap) -> Verdict:
     degree of every transition equals the supremum over the preimage:
     delta2(f(s), a)(t) = sup of delta1(s, a) over f's preimage of t.
 
-    Each (s, a), in sorted order, pushes the support of delta1(s, a)
-    through the map, keeping the max per image state, and compares the
-    result with the stored entries of delta2(f(s), a); a mismatch names the
-    least state where the two differ.  Cost O(|S1|*|A| + |E1| + |E2|).
+    Each (s, a), in sorted order, compares the preimage suprema of
+    delta1(s, a), read by :func:`~fuzzts.core.image_sups` with the map as
+    class map, with the stored entries of delta2(f(s), a); a mismatch names
+    the least state where the two differ.  Cost O(|S1|*|A| + |E1| + |E2|).
     """
     check_alphabets(f1, f2)
     if fmap.domain != f1.states or fmap.codomain != f2.states:
@@ -80,22 +82,15 @@ def check_homomorphism(f1: Fts, f2: Fts, fmap: StateMap) -> Verdict:
         return Verdict(
             False, Witness(f1.init, mapped_init, None, "init-map", f2.init)
         )
-    image_of = dict(fmap.items())
+    image_of = fmap._table
     labels = f1.sorted_labels()
     for s in f1.sorted_states():
         fs = image_of[s]
         for a in labels:
-            required: dict[str, Degree] = {}
-            for t1, degree in f1.delta(s, a).items():
-                t = image_of[t1]
-                if required.get(t, ZERO) < degree:
-                    required[t] = degree
+            _, required = image_sups(f1, image_of, s, a)
             actual = dict(f2.delta(fs, a).items())
             if required != actual:
-                t = min(
-                    u for u in required.keys() | actual.keys()
-                    if required.get(u) != actual.get(u)
-                )
+                t = least_difference(required, actual)
                 return Verdict(False, Witness(
                     s, fs, a, "hom-sup", t,
                     required.get(t, ZERO), actual.get(t, ZERO),
@@ -184,8 +179,7 @@ def quotient(f: Fts, r: Relation) -> QuotientFts:
     degree is the supremum over all member pairs, which makes the definition
     independent of representatives.
     """
-    if r.left_universe != f.states or r.right_universe != f.states:
-        raise UniverseError("relation universes do not match the system")
+    check_relation(f, f, r)
     return _quotient(f, {s: block for block in r.equivalence_classes() for s in block})
 
 

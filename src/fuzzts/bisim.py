@@ -12,30 +12,29 @@ related pair (s, t) and label:
      bipartite components, the image of s over U and the image of t over V
      have equal suprema.
 
-The literal subset-pair form of the definition and the brute-force
-enumeration of bisimulations are exponential oracles for the reduction; they
-live in :mod:`fuzzts.oracles`.  Verdicts carry the lexicographically least
-failing item, ordered by (left state, right state, label), then within one
-such triple: left support violations by state, right support violations by
-state, block mismatches by block index.
+The check and :func:`refine` read all three from one
+:func:`~fuzzts.core.image_sups` per image, with the blocks as classes.  The
+literal subset-pair form and the brute-force enumeration of bisimulations
+are exponential oracles in :mod:`fuzzts.oracles`.  Verdicts carry the least
+failing item by (left state, right state, label), then left support
+violations by state, right ones by state, and block mismatches by index.
 
 :func:`bisimilarity` runs on the partition engine of :mod:`fuzzts.partition`.
-:func:`check_strong_bisimulation` is the per-transition matching check.
 :func:`refine` and :func:`iterate_refinement` keep the definitional
-greatest-fixed-point iteration over explicit relations as the reference it
-is tested against; they stay here while the benchmark's tracer reads
-``bisim.refine`` by module and name.
+greatest-fixed-point iteration as the reference it is tested against; they
+stay here while the benchmark's tracer reads ``bisim.refine`` by name.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 from .core import (
-    Blocks, Fts, FuzzyAutomaton, Relation, adjacency, check_alphabets, decompose, members,
+    Blocks, Fts, FuzzyAutomaton, Relation, adjacency, check_alphabets, check_relation,
+    decompose, image_sups, least_difference, members,
 )
 from .degrees import Degree, ZERO
-from .errors import UniverseError
 from .partition import coarsest_partition
 
 
@@ -61,49 +60,17 @@ class Verdict:
         return self.holds
 
 
-def _check_setting(f1: Fts, f2: Fts, r: Relation) -> None:
-    check_alphabets(f1, f2)
-    if r.left_universe != f1.states or r.right_universe != f2.states:
-        raise UniverseError("relation universes do not match the systems")
-
-
 def _format_block(block: tuple[frozenset[str], frozenset[str]]) -> str:
     left = ",".join(sorted(block[0]))
     right = ",".join(sorted(block[1]))
     return f"{{{left}}}~{{{right}}}"
 
 
-def _profile(f: Fts, block_of: dict[str, int]):
-    """Per-(state, label) view of one system against a decomposition, as a
-    cached closure returning ``(outside entries, {block index: sup})``: the
-    support entries falling outside the relation's projection, and the
-    supremum of each block the image reaches.  A block missing from the dict
-    has supremum zero, so one call costs the image's entries, not the
-    number of blocks."""
-    cache: dict[tuple[str, str], tuple[list, dict[int, Degree]]] = {}
-
-    def profile(state: str, label: str):
-        key = (state, label)
-        hit = cache.get(key)
-        if hit is None:
-            outside = []
-            sups: dict[int, Degree] = {}
-            for target, degree in f.delta(state, label).items():
-                index = block_of.get(target)
-                if index is None:
-                    outside.append((target, degree))
-                elif degree > sups.get(index, ZERO):
-                    sups[index] = degree
-            hit = cache[key] = (outside, sups)
-        return hit
-
-    return profile
-
-
-def _profiles(f1: Fts, f2: Fts, blocks: Blocks):
-    block_left = {s: i for i, (u, _) in enumerate(blocks) for s in u}
-    block_right = {t: i for i, (_, v) in enumerate(blocks) for t in v}
-    return _profile(f1, block_left), _profile(f2, block_right)
+def _block_maps(blocks: Blocks) -> tuple[dict[str, int], dict[str, int]]:
+    """``{state: block index}`` on each side, over the states the blocks cover."""
+    left = {s: i for i, (u, _) in enumerate(blocks) for s in u}
+    right = {t: i for i, (_, v) in enumerate(blocks) for t in v}
+    return left, right
 
 
 def check_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
@@ -114,14 +81,17 @@ def check_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     suprema.  Costs the edges of both systems plus, per related pair and
     label, the blocks the two images reach; not blocks times states.
     """
-    _check_setting(f1, f2, r)
+    check_relation(f1, f2, r)
     blocks = decompose(r)
-    left_prof, right_prof = _profiles(f1, f2, blocks)
+    left_of, right_of = _block_maps(blocks)
+    # a state is in one pair per partner, so each side reads a view once
+    left = functools.cache(functools.partial(image_sups, f1, left_of))
+    right = functools.cache(functools.partial(image_sups, f2, right_of))
     labels = f1.sorted_labels()
     for s, t in r.sorted_pairs():
         for a in labels:
-            outside_l, sups_l = left_prof(s, a)
-            outside_r, sups_r = right_prof(t, a)
+            outside_l, sups_l = left(s, a)
+            outside_r, sups_r = right(t, a)
             if outside_l:
                 state, degree = outside_l[0]
                 return Verdict(False, Witness(s, t, a, "left-support", state, degree, ZERO))
@@ -129,10 +99,7 @@ def check_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
                 state, degree = outside_r[0]
                 return Verdict(False, Witness(s, t, a, "right-support", state, ZERO, degree))
             if sups_l != sups_r:
-                index = min(
-                    i for i in sups_l.keys() | sups_r.keys()
-                    if sups_l.get(i) != sups_r.get(i)
-                )
+                index = least_difference(sups_l, sups_r)
                 return Verdict(
                     False,
                     Witness(s, t, a, "block-sup", _format_block(blocks[index]),
@@ -144,7 +111,7 @@ def check_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
 def check_strong_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     """Per-transition matching check: every positive move of one side must be
     matched by a related target reached with at least the same degree."""
-    _check_setting(f1, f2, r)
+    check_relation(f1, f2, r)
     rights, lefts = adjacency(r)
     labels = f1.sorted_labels()
     # (witness kind, partners of a target on the answering side, right side moves)
@@ -171,14 +138,14 @@ def refine(f1: Fts, f2: Fts, r: Relation) -> Relation:
     definitional form of bisimilarity, kept as the reference the tests compare
     :func:`bisimilarity` against; no library operation calls it.
     """
-    _check_setting(f1, f2, r)
-    left_prof, right_prof = _profiles(f1, f2, decompose(r))
-    labels = sorted(f1.labels)
+    check_relation(f1, f2, r)
+    left_of, right_of = _block_maps(decompose(r))
+    labels = f1.sorted_labels()
 
-    def signature(profile, state):
+    def signature(f, class_of, state):
         sups = []
         for a in labels:
-            outside, block_sups = profile(state, a)
+            outside, block_sups = image_sups(f, class_of, state, a)
             if outside:
                 return None
             sups.append(tuple(sorted(block_sups.items())))
@@ -186,12 +153,12 @@ def refine(f1: Fts, f2: Fts, r: Relation) -> Relation:
 
     left_sig: dict[tuple, list[str]] = {}
     for s in f1.states:
-        sig = signature(left_prof, s)
+        sig = signature(f1, left_of, s)
         if sig is not None:
             left_sig.setdefault(sig, []).append(s)
     pairs = set()
     for t in f2.states:
-        sig = signature(right_prof, t)
+        sig = signature(f2, right_of, t)
         if sig is not None:
             for s in left_sig.get(sig, ()):
                 pairs.add((s, t))

@@ -149,11 +149,15 @@ def _base(model: Fts | FuzzyAutomaton) -> Fts:
     return model.base if isinstance(model, FuzzyAutomaton) else model
 
 
-def _system(path: str) -> Fts:
-    model = _load(parse_model, path)
+def _plain(path: str, model: Fts | FuzzyAutomaton) -> Fts:
+    """``model``, read from ``path``, refused if it has final degrees."""
     if isinstance(model, FuzzyAutomaton):
         raise FtsError(f"{path}: model has final degrees, which this command would drop")
     return model
+
+
+def _system(path: str) -> Fts:
+    return _plain(path, _load(parse_model, path))
 
 
 def _write(path: str, text: str) -> None:
@@ -286,16 +290,18 @@ def _accept(args):
 def _check_bisim(args):
     if args.strong and args.naive:
         raise FtsError("--strong cannot be combined with --naive")
-    left_model = _load(parse_model, args.left)
-    right_model = _load(parse_model, args.right)
-    left, right = _base(left_model), _base(right_model)
-    rel = _load(parse_relation, args.relation, left.states, right.states)
+    left, right = _load(parse_model, args.left), _load(parse_model, args.right)
+    # only the default check of two automata reads final degrees
+    automata = all(isinstance(model, FuzzyAutomaton) for model in (left, right))
+    if args.strong or args.naive or not automata:
+        left, right = _plain(args.left, left), _plain(args.right, right)
+    rel = _load(parse_relation, args.relation, _base(left).states, _base(right).states)
     if args.naive:
         verdict = Verdict(check_bisimulation_naive(left, right, rel))
     elif args.strong:
         verdict = check_strong_bisimulation(left, right, rel)
-    elif isinstance(left_model, FuzzyAutomaton) and isinstance(right_model, FuzzyAutomaton):
-        verdict = check_automaton_bisimulation(left_model, right_model, rel)
+    elif automata:
+        verdict = check_automaton_bisimulation(left, right, rel)
     else:
         verdict = check_bisimulation(left, right, rel)
     inputs = {"left": args.left, "right": args.right, "relation": args.relation,

@@ -1,5 +1,7 @@
 """Core data model: fuzzy sets, fuzzy transition systems, relations, state
-maps, and the checks shared by the other modules.
+maps, and the checking rules the other modules share, each stated once:
+the setting guards, a relation's blocks, an image's suprema over the classes
+of a partition, and the least key where two suprema differ (the witness).
 
 Everything here is a value: immutable after construction, deletion included,
 equal to another instance of its type with the same contents, hashable, and
@@ -42,6 +44,14 @@ def check_alphabets(f1: Fts, f2: Fts) -> None:
     """Raise ``AlphabetError`` unless the two systems share their labels."""
     if f1.labels != f2.labels:
         raise AlphabetError("label alphabets differ")
+
+
+def check_relation(f1: Fts, f2: Fts, r: Relation) -> None:
+    """Raise ``AlphabetError`` unless the two systems share their labels,
+    then ``UniverseError`` unless ``r`` runs from f1's states to f2's."""
+    check_alphabets(f1, f2)
+    if r.left_universe != f1.states or r.right_universe != f2.states:
+        raise UniverseError("relation universes do not match the systems")
 
 
 class Value:
@@ -475,7 +485,7 @@ class StateMap(Value):
         return hash((self.domain, self.codomain, frozenset(self._table.items())))
 
     def __repr__(self):
-        return f"StateMap({self._table!r})"
+        return f"StateMap({dict(self.items())!r})"
 
 
 def members(class_of: Mapping[str, Hashable]) -> dict[Hashable, list[str]]:
@@ -496,6 +506,28 @@ def adjacency(relation: Relation) -> tuple[dict[str, list[str]], dict[str, list[
         rights.setdefault(s, []).append(t)
         lefts.setdefault(t, []).append(s)
     return rights, lefts
+
+
+def image_sups(f: Fts, class_of: Mapping, state: str, label: str) -> tuple[list, dict]:
+    """The image of ``state`` under ``label`` against a partial
+    ``{state: class}`` map: its (target, degree) entries whose target has no
+    class, in state order, and ``{class: supremum}`` over the classes it
+    reaches (zero elsewhere), at the cost of the image's entries."""
+    outside = []
+    sups: dict[Hashable, Degree] = {}
+    for target, degree in f.delta(state, label).items():
+        c = class_of.get(target)
+        if c is None:
+            outside.append((target, degree))
+        elif degree > sups.get(c, ZERO):
+            sups[c] = degree
+    return outside, sups
+
+
+def least_difference(a: Mapping, b: Mapping):
+    """The least key on which two unequal maps differ, a missing key
+    differing from any value."""
+    return min(k for k in a.keys() | b.keys() if a.get(k) != b.get(k))
 
 
 def decompose(relation: Relation) -> Blocks:

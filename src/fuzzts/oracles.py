@@ -13,8 +13,8 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable
 
-from .bisim import _check_setting, check_bisimulation
-from .core import Fts, Relation, check_alphabets
+from .bisim import check_bisimulation
+from .core import Fts, Relation, check_alphabets, check_relation
 from .errors import CapError, UniverseError
 
 
@@ -31,7 +31,7 @@ def check_bisimulation_naive(
 
     Exponential in the combined state count; refuses above ``max_states``.
     """
-    _check_setting(f1, f2, r)
+    check_relation(f1, f2, r)
     if len(f1.states) + len(f2.states) > max_states:
         raise CapError(
             f"cap exceeded: {len(f1.states)} + {len(f2.states)} states > {max_states}"

@@ -171,8 +171,10 @@ class TestAccept:
 
 class TestAutomatonOperands:
     """Commands on plain systems refuse an automaton operand, whose final
-    degrees they would drop, and name its file; the language commands read
-    the automaton's base, since a state's language ignores final degrees."""
+    degrees they would drop, and name its file; so does ``check-bisim``
+    unless both operands are automata and it runs its default check, the
+    one that compares final degrees.  The language commands read the
+    automaton's base, since a state's language ignores final degrees."""
 
     ACCEPT, LATE = DATA / "choice_accept.fts", DATA / "choice_late.fts"
 
@@ -189,6 +191,10 @@ class TestAutomatonOperands:
         ["hom-check", "{P}", "{A}", "--map", "{map}"],
         ["hom-image", "{A}", "{P}", "--map", "{map}", "-o", "{out}"],
         ["hom-image", "{P}", "{A}", "--map", "{map}", "-o", "{out}"],
+        ["check-bisim", "{A}", "{P}", "--relation", "{rel}"],
+        ["check-bisim", "{P}", "{A}", "--relation", "{rel}"],
+        ["check-bisim", "{A}", "{A}", "--relation", "{rel}", "--strong"],
+        ["check-bisim", "{A}", "{A}", "--relation", "{rel}", "--naive"],
     ])
     def test_refused_with_the_file_named(self, capsys, tmp_path, argv):
         files = {
@@ -205,6 +211,13 @@ class TestAutomatonOperands:
         # the same command on the plain system runs
         code, _, _ = invoke(capsys, *(a.format(**{**files, "A": self.LATE}) for a in argv))
         assert code in (0, 1)
+
+    @pytest.mark.parametrize("mode", [[], ["--strong"], ["--naive"]])
+    def test_check_bisim_reads_plain_systems_in_every_mode(self, capsys, tmp_path, mode):
+        rel = tmp_path / "diag.rel"
+        rel.write_text("".join(f"rel: s{i} s{i}\n" for i in range(4)))
+        result = invoke(capsys, "check-bisim", self.LATE, self.LATE, "--relation", rel, *mode)
+        assert result == (0, "holds\n", "")
 
     @pytest.mark.parametrize("argv", [
         ["lang", "--word", "a b"],

@@ -75,6 +75,11 @@ CASES = [
      "--naive"],
     ["check-bisim", "choice_accept.fts", "choice_accept.fts", "--relation", "accept.rel"],
     ["check-bisim", "choice_accept.fts", "accept_other.fts", "--relation", "accept.rel"],
+    ["check-bisim", "choice_accept.fts", "accept_other.fts", "--relation", "accept.rel",
+     "--strong"],
+    ["check-bisim", "choice_accept.fts", "accept_other.fts", "--relation", "accept.rel",
+     "--naive"],
+    ["check-bisim", "choice_accept.fts", "choice_late.fts", "--relation", "accept.rel"],
     ["bisimilar", "choice_late.fts", "choice_early.fts"],
     ["bisimilar", "choice_late.fts", "choice_early.fts", "--print-relation"],
     ["bisimilar", "dup_branch.fts", "dup_min.fts", "--print-relation"],

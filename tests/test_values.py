@@ -1,6 +1,7 @@
 """Value semantics of the immutable types: copies, deep copies and pickles
-at every protocol are equal to the original, with equal hashes, and no
-attribute of a core value can be set or deleted."""
+at every protocol are equal to the original, with equal hashes, no
+attribute of a core value can be set or deleted, and equal values print
+the same."""
 
 import copy
 import pickle
@@ -9,9 +10,11 @@ import pytest
 
 import helpers
 from fuzzts import (
+    Fts,
     FuzzyAutomaton,
     FuzzySet,
     Relation,
+    StateMap,
     bisimilarity,
     check_bisimulation,
     minimize,
@@ -90,3 +93,37 @@ def test_equality_needs_the_same_type_and_contents():
     early = values["Fts"]
     assert early.delta("t0", "a") != early.delta("t1", "b")
     assert FuzzyAutomaton(early, FuzzySet(early.states)) != values["FuzzyAutomaton"]
+
+
+def _small(order) -> dict:
+    """A small instance of each core kind, its contents listed in ``order``
+    (``list`` keeps the lexicographic order, ``reversed`` turns it round)."""
+    system = Fts(
+        order(["x", "y"]), ["a"], "x",
+        dict(order([(("x", "a"), {"y": "0.5"}), (("y", "a"), {"x": "1"})])), name="m",
+    )
+    return {
+        "FuzzySet": FuzzySet(order(["x", "y"]), dict(order([("x", "1"), ("y", "0.5")]))),
+        "Fts": system,
+        "FuzzyAutomaton": FuzzyAutomaton(system, FuzzySet(system.states, {"y": "0.25"})),
+        "Relation": Relation(["x", "y"], ["p", "q"], order([("x", "p"), ("y", "q")])),
+        "StateMap": StateMap(dict(order([("x", "p"), ("y", "q")])), "xy", "pq"),
+    }
+
+
+REPRS = {
+    "FuzzySet": "FuzzySet({x: 1, y: 0.5})",
+    "Fts": "Fts(name='m', |S|=2, |A|=1, init='x')",
+    "FuzzyAutomaton": (
+        "FuzzyAutomaton(Fts(name='m', |S|=2, |A|=1, init='x'), final=FuzzySet({y: 0.25}))"
+    ),
+    "Relation": "Relation{(x,p), (y,q)}",
+    "StateMap": "StateMap({'x': 'p', 'y': 'q'})",
+}
+
+
+@pytest.mark.parametrize("kind", CORE)
+def test_equal_values_print_the_same(kind):
+    forward, backward = _small(list)[kind], _small(reversed)[kind]
+    assert forward == backward
+    assert repr(forward) == repr(backward) == REPRS[kind]
