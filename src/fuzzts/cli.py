@@ -15,9 +15,11 @@ module globals when they run, so a caller that replaces one of them here
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import functools
 import json
 import os
+import re
 import sys
 from pathlib import Path
 
@@ -190,40 +192,22 @@ def _format_word(word: Word) -> str:
     return " ".join(word) or "-"
 
 
-def _witness_json(w: Witness | None):
-    if w is None:
-        return None
-    return {
-        "left": w.left,
-        "right": w.right,
-        "label": w.label,
-        "kind": w.kind,
-        "subject": w.subject,
-        "leftDegree": None if w.left_degree is None else str(w.left_degree),
-        "rightDegree": None if w.right_degree is None else str(w.right_degree),
-    }
-
-
-def _witness_text(w: Witness) -> str:
-    parts = [f"kind={w.kind}", f"left={w.left}", f"right={w.right}"]
-    if w.label is not None:
-        parts.append(f"label={w.label}")
-    if w.subject is not None:
-        parts.append(f"subject={w.subject}")
-    if w.left_degree is not None:
-        parts.append(f"left-degree={w.left_degree}")
-    if w.right_degree is not None:
-        parts.append(f"right-degree={w.right_degree}")
-    return "witness " + " ".join(parts)
-
-
 def _verdict(verdict: Verdict, holds: str, fails: str):
-    """JSON fields, text lines and exit code reporting a verdict."""
-    lines = [holds if verdict.holds else fails]
+    """JSON fields, text lines and exit code reporting a verdict.
+
+    The witness is read field by field from :class:`Witness`, each value
+    printed through ``str``.  Its JSON keys are the field names camelCased,
+    with ``None`` as null; its text line leads with the kind, then gives the
+    other fields it carries in order, kebab-cased."""
+    lines, witness = [holds if verdict.holds else fails], None
     if verdict.witness is not None:
-        lines.append(_witness_text(verdict.witness))
-    fields = {"result": verdict.holds, "witness": _witness_json(verdict.witness)}
-    return fields, lines, 0 if verdict.holds else 1
+        raw = {f.name: getattr(verdict.witness, f.name) for f in dataclasses.fields(Witness)}
+        values = {name: None if v is None else str(v) for name, v in raw.items()}
+        witness = {re.sub(r"_(.)", lambda m: m[1].upper(), name): v for name, v in values.items()}
+        parts = [f"kind={values.pop('kind')}"]
+        parts += [f"{name.replace('_', '-')}={v}" for name, v in values.items() if v is not None]
+        lines.append("witness " + " ".join(parts))
+    return {"result": verdict.holds, "witness": witness}, lines, 0 if verdict.holds else 1
 
 
 def _wrote(path: str, system: Fts):

@@ -100,6 +100,11 @@ def _rebuild(cls: type[Value], fields: tuple) -> Value:
     return value
 
 
+def _names(universe: Iterable[str]) -> str:
+    """A state universe as printed by the reprs: ``{a, b}``, sorted."""
+    return "{" + ", ".join(sorted(universe)) + "}"
+
+
 class FuzzySet(Value):
     """A possibility distribution over a finite state universe.
 
@@ -159,7 +164,7 @@ class FuzzySet(Value):
 
     def __repr__(self):
         inner = ", ".join(f"{s}: {d}" for s, d in self.items())
-        return f"FuzzySet({{{inner}}})"
+        return f"FuzzySet({{{inner}}}, universe={_names(self.universe)})"
 
 
 class Fts(Value):
@@ -445,7 +450,8 @@ class Relation(Value):
 
     def __repr__(self):
         inner = ", ".join(f"({s},{t})" for s, t in self.sorted_pairs())
-        return f"Relation{{{inner}}}"
+        left, right = _names(self.left_universe), _names(self.right_universe)
+        return f"Relation{{{inner}}} over {left} x {right}"
 
 
 class StateMap(Value):
@@ -485,7 +491,7 @@ class StateMap(Value):
         return hash((self.domain, self.codomain, frozenset(self._table.items())))
 
     def __repr__(self):
-        return f"StateMap({dict(self.items())!r})"
+        return f"StateMap({dict(self.items())!r}, codomain={sorted(self.codomain)!r})"
 
 
 def members(class_of: Mapping[str, Hashable]) -> dict[Hashable, list[str]]:

@@ -73,6 +73,15 @@ def _start(f: Fts, state: str) -> dict[str, Degree]:
     return {state: ONE}
 
 
+def _check_bound(max_len: int) -> None:
+    """Refuse a word-length bound that is not a non-negative int (a bool
+    is not taken for one)."""
+    if not isinstance(max_len, int) or isinstance(max_len, bool):
+        raise TypeError(f"max_len must be an int, got {max_len!r}")
+    if max_len < 0:
+        raise ValueError("max_len must be >= 0")
+
+
 def _reach(f: Fts, state: str, word: Sequence[str]) -> dict[str, Degree]:
     """The reachability distribution of ``word`` from ``state``."""
     mu = _start(f, state)
@@ -118,8 +127,7 @@ def lang_table(f: Fts, state: str, max_len: int) -> dict[Word, Degree]:
     Zero-degree words are omitted (support convention), except the empty word
     which always has degree 1.
     """
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+    _check_bound(max_len)
     _start(f, state)
     (classes,), level = graded((f,), max_len)
     labels = f.sorted_labels()
@@ -160,8 +168,7 @@ def lang_equal_up_to(
     at once.
     """
     check_alphabets(f1, f2)
-    if max_len < 0:
-        raise ValueError("max_len must be >= 0")
+    _check_bound(max_len)
     _start(f1, s1)
     _start(f2, s2)
     (classes1, classes2), level = graded((f1, f2), max_len)

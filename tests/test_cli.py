@@ -14,8 +14,10 @@ import fuzzts.bisim
 import fuzzts.cli
 from fuzzts import parse_model
 from fuzzts.cli import run
+from test_cli_transcript import CASES, setup_fixtures
 
 DATA = Path(__file__).parent / "data"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def invoke(capsys, *argv):
@@ -285,6 +287,86 @@ class TestCheckBisim:
         )
         assert code == 2
         assert "line 1" in err
+
+
+# s0 -a 0.5-> s1 on the one side and t0 -a 0.3-> t1 or nothing on the other
+WITNESS_FILES = {
+    "moves.fts": "system moves\nstates: s0 s1\nlabels: a\ninit: s0\ntrans: s0 a 0.5 s1\n",
+    "still.fts": "system still\nstates: t0 t1\nlabels: a\ninit: t0\n",
+    "weak.fts": "system weak\nstates: t0 t1\nlabels: a\ninit: t0\ntrans: t0 a 0.3 t1\n",
+    "st.rel": "rel: s0 t0\n",
+    "ts.rel": "rel: t0 s0\n",
+    "ts_all.rel": "rel: t0 s0\nrel: t1 s1\n",
+}
+
+# the verdicts the transcript leaves out, and the witness line each prints
+WITNESS_CASES = {
+    "left-support": (
+        ["check-bisim", "moves.fts", "still.fts", "--relation", "st.rel"],
+        "witness kind=left-support left=s0 right=t0 label=a subject=s1 "
+        "left-degree=0.5 right-degree=0",
+    ),
+    "right-support": (
+        ["check-bisim", "still.fts", "moves.fts", "--relation", "ts.rel"],
+        "witness kind=right-support left=t0 right=s0 label=a subject=s1 "
+        "left-degree=0 right-degree=0.5",
+    ),
+    "right-move": (
+        ["check-bisim", "weak.fts", "moves.fts", "--relation", "ts_all.rel", "--strong"],
+        "witness kind=right-move left=t0 right=s0 label=a subject=s1 "
+        "left-degree=0.3 right-degree=0.5",
+    ),
+}
+
+WITNESS_KINDS = {
+    "left-support", "right-support", "block-sup", "left-move", "right-move",
+    "final-degree", "absent-pair", "init-map", "hom-sup",
+}
+
+
+@pytest.fixture
+def witness_dir(tmp_path, monkeypatch):
+    """A working directory holding the transcript's fixtures and
+    :data:`WITNESS_FILES`."""
+    monkeypatch.chdir(tmp_path)
+    setup_fixtures(tmp_path)
+    for name, text in WITNESS_FILES.items():
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    return tmp_path
+
+
+def readme_witness_keys() -> list[str]:
+    """The witness keys of the README's ``--json`` example, in order."""
+    example = README.read_text(encoding="utf-8").split("```json\n", 1)[1].split("```", 1)[0]
+    return list(json.loads(example)["witness"])
+
+
+class TestWitnessKinds:
+    @pytest.mark.parametrize("kind", WITNESS_CASES)
+    def test_text_line(self, capsys, witness_dir, kind):
+        argv, line = WITNESS_CASES[kind]
+        code, out, err = invoke(capsys, *argv)
+        assert (code, err) == (1, "")
+        assert out == f"does not hold\n{line}\n"
+
+    def test_every_json_witness_has_the_readme_keys(self, capsys, witness_dir):
+        keys = readme_witness_keys()
+        assert keys == [
+            "left", "right", "label", "kind", "subject", "leftDegree", "rightDegree",
+        ]
+        kinds = set()
+        for argv in [*CASES, *(argv for argv, _ in WITNESS_CASES.values())]:
+            code, out, _ = invoke(capsys, "--json", *argv)
+            report = json.loads(out) if code != 2 else {}
+            if "witness" not in report:
+                continue
+            witness = report["witness"]
+            assert witness is None or not report["result"], argv
+            if witness is not None:
+                assert list(witness) == keys, argv
+                assert all(v is None or isinstance(v, str) for v in witness.values()), argv
+                kinds.add(witness["kind"])
+        assert kinds == WITNESS_KINDS
 
 
 class TestBisimilar:

@@ -201,6 +201,23 @@ def test_negative_bounds_rejected(choice_late):
         lang_equal_up_to(choice_late, "s0", choice_late, "s0", -1)
 
 
+def _cycle():
+    """s -a 0.5-> t -a 1-> s"""
+    return Fts(["s", "t"], ["a"], "s", {("s", "a"): {"t": "0.5"}, ("t", "a"): {"s": "1"}})
+
+
+@pytest.mark.parametrize("bound", [2.5, "3", True], ids=["float", "str", "bool"])
+def test_lang_table_refuses_a_bound_that_is_not_an_int(bound):
+    with pytest.raises(TypeError, match="^max_len must be an int"):
+        lang_table(_cycle(), "s", bound)
+
+
+def test_lang_equal_up_to_refuses_a_bound_that_is_not_an_int():
+    f = _cycle()
+    with pytest.raises(TypeError, match="^max_len must be an int"):
+        lang_equal_up_to(f, "s", f, "t", 1.5)
+
+
 # ------------------------------------------------- differential vs oracles
 
 # degrees that no random_fts edge carries, for input distributions of step

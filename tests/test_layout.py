@@ -3,7 +3,8 @@
 Exponential oracles live in :mod:`fuzzts.oracles`, and only the package root
 (which re-exports them) and the CLI (for ``check-bisim --naive``) import
 that module.  The text formats read only the data layer.  No module imports
-another's private name, and each setting guard is written once.
+another's private name, and each setting guard is written once.  The CLI
+derives a witness's report from its fields rather than spelling them.
 """
 
 import ast
@@ -72,3 +73,12 @@ def test_each_setting_guard_is_written_once():
         if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "AlphabetError"
     ]
     assert raised == ["core"]
+
+
+def test_the_cli_spells_no_witness_degree_field():
+    spelled = {"leftDegree", "rightDegree", "left-degree", "right-degree"}
+    assert {name for name in spelled if name in SOURCES["cli"]} == set()
+
+
+def test_the_word_bound_guard_is_written_once():
+    assert sum(source.count("max_len must be >= 0") for source in SOURCES.values()) == 1

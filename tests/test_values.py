@@ -112,13 +112,14 @@ def _small(order) -> dict:
 
 
 REPRS = {
-    "FuzzySet": "FuzzySet({x: 1, y: 0.5})",
+    "FuzzySet": "FuzzySet({x: 1, y: 0.5}, universe={x, y})",
     "Fts": "Fts(name='m', |S|=2, |A|=1, init='x')",
     "FuzzyAutomaton": (
-        "FuzzyAutomaton(Fts(name='m', |S|=2, |A|=1, init='x'), final=FuzzySet({y: 0.25}))"
+        "FuzzyAutomaton(Fts(name='m', |S|=2, |A|=1, init='x'), "
+        "final=FuzzySet({y: 0.25}, universe={x, y}))"
     ),
-    "Relation": "Relation{(x,p), (y,q)}",
-    "StateMap": "StateMap({'x': 'p', 'y': 'q'})",
+    "Relation": "Relation{(x,p), (y,q)} over {x, y} x {p, q}",
+    "StateMap": "StateMap({'x': 'p', 'y': 'q'}, codomain=['p', 'q'])",
 }
 
 
@@ -127,3 +128,17 @@ def test_equal_values_print_the_same(kind):
     forward, backward = _small(list)[kind], _small(reversed)[kind]
     assert forward == backward
     assert repr(forward) == repr(backward) == REPRS[kind]
+
+
+@pytest.mark.parametrize(
+    "first, second",
+    [
+        (Relation(["x"], ["y"]), Relation(["z"], ["w"])),
+        (FuzzySet(["x"]), FuzzySet(["y"])),
+        (StateMap({"x": "p"}, ["x"], ["p"]), StateMap({"x": "p"}, ["x"], ["p", "q"])),
+    ],
+    ids=["Relation", "FuzzySet", "StateMap"],
+)
+def test_unequal_values_with_equal_entries_print_differently(first, second):
+    assert first != second
+    assert repr(first) != repr(second)
