@@ -25,7 +25,8 @@ def parallel_compose(f1: Fts, f2: Fts) -> Fts:
     alphabet lacks the label stays put with degree 1, so a private label
     moves its side and freezes the other; a product edge takes the min of
     the two degrees.  Raises ``ModelError`` when two state pairs get the
-    same product id, which identifiers containing ``,`` can cause.
+    same product id, which identifiers containing ``,`` can cause; past that
+    check the images are valid as made and go to the builder unchecked.
     """
     labels = f1.labels | f2.labels
     states = frozenset(
@@ -45,12 +46,8 @@ def parallel_compose(f1: Fts, f2: Fts) -> Fts:
                     for s2, d1 in lefts
                     for t2, d2 in rights
                 }
-    return Fts(
-        states,
-        labels,
-        product_id(f1.init, f2.init),
-        delta,
-        name=product_id(f1.name, f2.name),
+    return Fts._from_images(
+        states, labels, product_id(f1.init, f2.init), delta, product_id(f1.name, f2.name)
     )
 
 
@@ -188,7 +185,8 @@ def _quotient(f: Fts, class_of: dict[str, object]) -> QuotientFts:
     renamed "[m]" after its least member m.
 
     One pass over the transitions takes the max of each edge's degree into
-    (class of source, label, class of target), O(|E| log |E|).
+    (class of source, label, class of target), O(|E| log |E|); the images
+    are valid as made and go to the builder unchecked.
     """
     name_of = {c: f"[{group[0]}]" for c, group in members(class_of).items()}
     class_of = {s: name_of[c] for s, c in class_of.items()}
@@ -199,7 +197,7 @@ def _quotient(f: Fts, class_of: dict[str, object]) -> QuotientFts:
         block = class_of[target]
         if entries.get(block, ZERO) < degree:
             entries[block] = degree
-    qf = Fts(qstates, f.labels, class_of[f.init], images, name=f.name)
+    qf = Fts._from_images(qstates, f.labels, class_of[f.init], images, f.name)
     return QuotientFts(qf, StateMap(class_of, f.states, qstates))
 
 

@@ -100,9 +100,22 @@ def _rebuild(cls: type[Value], fields: tuple) -> Value:
     return value
 
 
-def _names(universe: Iterable[str]) -> str:
-    """A state universe as printed by the reprs: ``{a, b}``, sorted."""
-    return "{" + ", ".join(sorted(universe)) + "}"
+def _names(universe: Iterable) -> str:
+    """A universe as the reprs print it, ``{a, b}``: members through ``str``, sorted."""
+    return "{" + ", ".join(sorted(map(str, universe))) + "}"
+
+
+def _checked_entries(universe: frozenset, entries) -> dict[str, Degree]:
+    """The nonzero entries of a mapping or of (state, degree) pairs, each
+    degree coerced and each state checked against ``universe``."""
+    clean: dict[str, Degree] = {}
+    for state, value in dict(entries).items():
+        degree = value if isinstance(value, Degree) else as_degree(value)
+        if state not in universe:
+            raise UniverseError(f"state {state!r} outside universe")
+        if degree:
+            clean[state] = degree
+    return clean
 
 
 class FuzzySet(Value):
@@ -117,15 +130,8 @@ class FuzzySet(Value):
 
     def __init__(self, universe: Iterable[str], entries: Mapping[str, Degree | str] = ()):
         universe = frozenset(universe)
-        clean: dict[str, Degree] = {}
-        for state, value in dict(entries).items():
-            degree = value if isinstance(value, Degree) else as_degree(value)
-            if state not in universe:
-                raise UniverseError(f"state {state!r} outside universe")
-            if degree:
-                clean[state] = degree
         object.__setattr__(self, "universe", universe)
-        object.__setattr__(self, "_entries", clean)
+        object.__setattr__(self, "_entries", _checked_entries(universe, entries))
 
     def __call__(self, state: str) -> Degree:
         if state not in self.universe:
@@ -178,9 +184,10 @@ class Fts(Value):
     as the model file's ``system NAME`` header requires.
 
     ``delta`` gives each (state, label) image as its (target, degree)
-    entries: a dict, or a ``FuzzySet`` read through ``items()``.  Each image
-    becomes a ``FuzzySet`` here, over ``states``, so a target outside them
-    raises ``UniverseError``; building costs O(|S| + |A| + |E|).
+    entries: a dict, or a ``FuzzySet`` read through ``items()``.  Every
+    entry is checked, so a target outside ``states`` raises
+    ``UniverseError``, and then :meth:`_from_images` makes each image a
+    ``FuzzySet`` over ``states``; building costs O(|S| + |A| + |E|).
     """
 
     __slots__ = ("states", "labels", "init", "name", "_delta", "_zero")
@@ -200,21 +207,37 @@ class Fts(Value):
             raise ModelError("no states")
         if init not in states:
             raise ModelError(f"initial state {init!r} is not a state")
-        table: dict[tuple[str, str], FuzzySet] = {}
+        images: dict[tuple[str, str], dict[str, Degree]] = {}
         for (source, label), entries in dict(delta).items():
             if source not in states:
                 raise ModelError(f"unknown state {source!r} in transition function")
             if label not in labels:
                 raise ModelError(f"unknown label {label!r} in transition function")
-            image = FuzzySet(states, entries.items())
-            if image:
-                table[(source, label)] = image
-        object.__setattr__(self, "states", states)
-        object.__setattr__(self, "labels", labels)
-        object.__setattr__(self, "init", init)
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "_delta", table)
-        object.__setattr__(self, "_zero", FuzzySet(states))
+            images[source, label] = _checked_entries(states, entries.items())
+        built = self._from_images(states, labels, init, images, name)
+        for slot, field in zip(self.__slots__, built._fields):
+            object.__setattr__(self, slot, field)
+
+    @classmethod
+    def _from_images(cls, states: frozenset[str], labels: frozenset[str], init: str,
+                     images: Mapping[tuple[str, str], dict[str, Degree]], name: str) -> "Fts":
+        """The one image builder: a system from ``{target: Degree}`` images
+        whose identifiers, keys and degrees are already valid, as the
+        constructor, the model parser, the quotient and the product make
+        them.  It owns each dict from then on and makes it, uncopied, the
+        entries of a ``FuzzySet`` over the shared ``states``, dropping zero
+        entries and empty images."""
+        # the slots' own setters, which Value's guard does not reach
+        set_universe, set_entries = FuzzySet.universe.__set__, FuzzySet._entries.__set__
+        table: dict[tuple[str, str], FuzzySet] = {}
+        for key, entries in images.items():
+            if not all(entries.values()):
+                entries = {target: degree for target, degree in entries.items() if degree}
+            if entries:
+                image = table[key] = object.__new__(FuzzySet)
+                set_universe(image, states)
+                set_entries(image, entries)
+        return _rebuild(cls, (states, labels, init, name, table, FuzzySet(states)))
 
     @classmethod
     def from_triples(
@@ -521,12 +544,13 @@ def image_sups(f: Fts, class_of: Mapping, state: str, label: str) -> tuple[list,
     reaches (zero elsewhere), at the cost of the image's entries."""
     outside = []
     sups: dict[Hashable, Degree] = {}
-    for target, degree in f.delta(state, label).items():
+    for target, degree in f.delta(state, label)._entries.items():
         c = class_of.get(target)
         if c is None:
             outside.append((target, degree))
         elif degree > sups.get(c, ZERO):
             sups[c] = degree
+    outside.sort()
     return outside, sups
 
 

@@ -12,13 +12,14 @@ Model file layout::
 A line ends at a line feed, a carriage return or the pair of them, and
 nowhere else: a form feed, NEL or U+2028 inside a comment does not end it.
 "#" starts a comment, blank lines are ignored, and exactly one each of the
-states/labels/init lines must appear before any line that uses them.  Degree
-literals go through `Degree.parse`, which caches short ones, so a literal
-that a file repeats is parsed once.  Any "final:" line turns the model into a
-FuzzyAutomaton.  Serialization is canonical: sorted
-states/labels/transitions/finals, minimal degree spelling, and only positive
-final degrees; parse(serialize(m)) == m except that an automaton whose final
-degrees are all zero collapses back to a plain system.
+states/labels/init lines must appear before any line that uses them.  A
+transition's degree literal is parsed once per file, then read from a dict.
+Each line is checked as it is read, so the images go to `Fts._from_images`
+unchecked.  Any "final:" line turns the model into a FuzzyAutomaton.
+Serialization is canonical: sorted states/labels/transitions/finals,
+minimal degree spelling, and only positive final degrees; parse(serialize(m))
+== m except that an automaton whose final degrees are all zero collapses back
+to a plain system.
 
 Relation files hold "rel: LEFT RIGHT" lines, map files "map: LEFT -> RIGHT"
 lines, resolved against externally supplied state sets.
@@ -80,6 +81,7 @@ def parse_model(text: str) -> Fts | FuzzyAutomaton:
     init = None
     images: defaultdict[tuple[str, str], dict[str, Degree]] = defaultdict(dict)
     finals: dict[str, Degree] = {}
+    literals: dict[str, Degree] = {}
     lines = _split_lines(text)
     for lineno, line in _logical_lines(lines):
         if name is None:
@@ -88,12 +90,18 @@ def parse_model(text: str) -> Fts | FuzzyAutomaton:
                 raise ParseError(lineno, "expected 'system NAME' header")
             name = _ident(lineno, "system name", parts[1])
             continue
-        directive, sep, rest = line.partition(":")
-        directive = directive.strip()
-        if not sep or " " in directive:
-            raise ParseError(lineno, "expected 'DIRECTIVE: ...'")
-        tokens = rest.split()
-        # nearly every line is a transition, so it is tested first
+        # nearly every line is a transition: a first token "trans:" needs no
+        # partition, and the transition handler is tested first
+        tokens = line.split()
+        if tokens[0] == "trans:":
+            directive = "trans"
+            del tokens[0]
+        else:
+            directive, sep, rest = line.partition(":")
+            directive = directive.strip()
+            if not sep or " " in directive:
+                raise ParseError(lineno, "expected 'DIRECTIVE: ...'")
+            tokens = rest.split()
         if directive == "trans":
             if states is None or labels is None:
                 raise ParseError(
@@ -111,7 +119,10 @@ def parse_model(text: str) -> Fts | FuzzyAutomaton:
             entries = images[src, label]
             if dst in entries:
                 raise ParseError(lineno, f"duplicate transition {src} {label} {dst}")
-            entries[dst] = _degree(lineno, degree_text)
+            degree = literals.get(degree_text)
+            if degree is None:
+                degree = literals[degree_text] = _degree(lineno, degree_text)
+            entries[dst] = degree
         elif directive == "states":
             if states is not None:
                 raise ParseError(lineno, "duplicate 'states:' line")
@@ -158,7 +169,7 @@ def parse_model(text: str) -> Fts | FuzzyAutomaton:
         raise ParseError(end, "missing 'labels:' line")
     if init is None:
         raise ParseError(end, "missing 'init:' line")
-    base = Fts(states, labels, init, images, name=name)
+    base = Fts._from_images(states, labels, init, images, name)
     if finals:
         return FuzzyAutomaton(base, FuzzySet(states, finals))
     return base

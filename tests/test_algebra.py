@@ -534,7 +534,11 @@ class TestAgainstOracles:
 
 class TestProducersAgainstFromTriples:
     """Each producer hands Fts its images as entries; the system it builds
-    must equal the one from_triples builds from the same transitions."""
+    must equal the one from_triples builds from the same transitions.  The
+    parser, the quotient (behind minimize too) and the product skip the
+    constructor's checks, so their systems must also equal, hash like and
+    serialize like the checking constructor's from the same images, and
+    every image must range over the system's own states object."""
 
     def test_every_producer_matches_from_triples(self):
         rng = random.Random(3037)
@@ -560,9 +564,16 @@ class TestProducersAgainstFromTriples:
                 rebuilt = Fts.from_triples(
                     g.states, g.labels, g.init, g.transitions(), name=g.name
                 )
-                assert g == rebuilt, producer
+                images = {(s, a): dict(g.delta(s, a).items()) for s in g.states for a in g.labels}
+                checked = Fts(g.states, g.labels, g.init, images, name=g.name)
+                assert g == rebuilt == checked, producer
+                assert hash(g) == hash(checked), producer
                 assert all(type(d) is Degree for _, _, d, _ in g.transitions()), producer
-                assert serialize_model(g) == serialize_model(rebuilt), producer
+                text = serialize_model(g)
+                assert text == serialize_model(rebuilt) == serialize_model(checked), producer
+                assert all(
+                    g.delta(s, a).universe is g.states for s in g.states for a in g.labels
+                ), producer
                 built[producer] += 1
         assert min(built.values()) > 50
 

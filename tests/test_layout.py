@@ -4,7 +4,9 @@ Exponential oracles live in :mod:`fuzzts.oracles`, and only the package root
 (which re-exports them) and the CLI (for ``check-bisim --naive``) import
 that module.  The text formats read only the data layer.  No module imports
 another's private name, and each setting guard is written once.  The CLI
-derives a witness's report from its fields rather than spelling them.
+derives a witness's report from its fields rather than spelling them.  Only
+the constructor and the producers that check their images as they make them
+call the unchecking image builder, so public input cannot skip the checks.
 """
 
 import ast
@@ -82,3 +84,29 @@ def test_the_cli_spells_no_witness_degree_field():
 
 def test_the_word_bound_guard_is_written_once():
     assert sum(source.count("max_len must be >= 0") for source in SOURCES.values()) == 1
+
+
+def scopes_naming(tree: ast.AST, attr: str, scope: str = ""):
+    """The qualified name of the innermost function or class around each use
+    of the attribute ``attr`` in a tree, "" at a module's top level."""
+    for node in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{node.name}".lstrip(".")
+        elif isinstance(node, ast.Attribute) and node.attr == attr:
+            yield scope
+        yield from scopes_naming(node, attr, inner)
+
+
+def test_only_producers_of_checked_images_call_the_builder():
+    uses = [
+        (module, scope)
+        for module, source in SOURCES.items()
+        for scope in scopes_naming(ast.parse(source), "_from_images")
+    ]
+    assert sorted(uses) == [
+        ("algebra", "_quotient"),
+        ("algebra", "parallel_compose"),
+        ("core", "Fts.__init__"),
+        ("modelfile", "parse_model"),
+    ]

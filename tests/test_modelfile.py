@@ -382,6 +382,42 @@ def _decorate(rng: random.Random, lines: list[str]) -> str:
     return newline.join(out) + rng.choice([newline, ""])
 
 
+ZERO_LITERALS = ["0", "0.0", "00"]
+
+
+def _with_zero_lines(rng: random.Random, model, lines: list[str]) -> tuple[list[str], tuple] | None:
+    """A canonical model file's lines plus `trans:` lines of degree 0, 0.0
+    or 00: the only lines of one (state, label) image that has no positive
+    edge, and one beside the lines of a positive image.  Returns the lines
+    and that empty image's key, or None when every image is positive."""
+    base = model.base if isinstance(model, FuzzyAutomaton) else model
+    states = base.sorted_states()
+    keys = [(s, a) for s in states for a in base.sorted_labels()]
+    empty = [key for key in keys if not base.delta(*key)]
+    if not empty:
+        return None
+    s, a = rng.choice(empty)
+    zeros = [
+        f"trans: {s} {a} {rng.choice(ZERO_LITERALS)} {t}"
+        for t in rng.sample(states, rng.randint(1, len(states)))
+    ]
+    beside = [
+        f"trans: {s2} {a2} {rng.choice(ZERO_LITERALS)} {t}"
+        for s2, a2 in keys if base.delta(s2, a2)
+        for t in states if t not in base.delta(s2, a2).support
+    ]
+    if beside:
+        zeros.append(rng.choice(beside))
+    lines = list(lines)
+    for line in zeros:
+        # after the header, states and labels lines
+        lines.insert(rng.randrange(3, len(lines) + 1), line)
+    return lines, (s, a)
+
+
+# ways to write the "trans:" directive besides the canonical "trans: SRC ..."
+TRANS_FORMS = ["trans : ", "trans:", "trans\t:\t", "trans  :"]
+
 BAD_LITERALS = [
     "0.", ".5", "1.0000000001", "\u0665", "1" * 5000, "0" * 5000 + "2",
     "0" * 4999 + "1", "1.1", "-0.1", "0.8000000001", "0,5", "1e-3", "\uff11",
@@ -455,6 +491,49 @@ class TestAgainstReferenceParser:
             assert outcome == _outcome(helpers.parse_model_oracle, text), text
             kinds.add(outcome[0])
         assert kinds == {"Fts", "FuzzyAutomaton"}
+
+    def test_valid_files_with_zero_degree_lines(self):
+        rng = random.Random("zero-lines")
+        checked = 0
+        for i in range(480):
+            model = _valid_model(rng, i)
+            made = _with_zero_lines(rng, model, serialize_model(model).splitlines())
+            if made is None:
+                continue
+            lines, (s, a) = made
+            text = _decorate(rng, lines)
+            outcome = _outcome(parse_model, text)
+            assert outcome == _outcome(helpers.parse_model_oracle, text), text
+            parsed = outcome[2]
+            assert parsed == parse_model(serialize_model(model))
+            base = parsed.base if isinstance(parsed, FuzzyAutomaton) else parsed
+            assert not base.delta(s, a)
+            checked += 1
+        assert checked >= 40
+
+    @pytest.mark.parametrize("kind", ("valid",) + MUTATIONS)
+    def test_trans_forms_parse_as_the_spaced_form(self, kind):
+        """`trans :`, `trans:SRC ...` and other spacings of the directive
+        give the model, or the ParseError, of the canonical `trans: SRC`."""
+        rng = random.Random(f"trans-forms-{kind}")
+        outcomes = set()
+        for i in range(60):
+            lines = serialize_model(_valid_model(rng, i)).splitlines()
+            if kind != "valid":
+                lines = _mutate(rng, kind, lines)
+                if lines is None:
+                    continue
+            spaced = "\n".join(lines) + "\n"
+            expected = _outcome(parse_model, spaced)
+            assert expected == _outcome(helpers.parse_model_oracle, spaced), spaced
+            for form in TRANS_FORMS:
+                text = "\n".join(
+                    form + line[len("trans: "):] if line.startswith("trans: ") else line
+                    for line in lines
+                ) + "\n"
+                assert _outcome(parse_model, text) == expected, text
+            outcomes.add(expected[0])
+        assert ("error" in outcomes) == (kind != "valid")
 
     @pytest.mark.parametrize("kind", MUTATIONS)
     def test_broken_files(self, kind):

@@ -1,7 +1,7 @@
 """Value semantics of the immutable types: copies, deep copies and pickles
 at every protocol are equal to the original, with equal hashes, no
 attribute of a core value can be set or deleted, and equal values print
-the same."""
+the same, whatever their universes hold."""
 
 import copy
 import pickle
@@ -142,3 +142,15 @@ def test_equal_values_print_the_same(kind):
 def test_unequal_values_with_equal_entries_print_differently(first, second):
     assert first != second
     assert repr(first) != repr(second)
+
+
+@pytest.mark.parametrize(
+    "value, text",
+    [
+        (FuzzySet([1, 2], {1: "0.5"}), "FuzzySet({1: 0.5}, universe={1, 2})"),
+        (Relation([1, 2], [3], {(1, 3)}), "Relation{(1,3)} over {1, 2} x {3}"),
+    ],
+    ids=["FuzzySet", "Relation"],
+)
+def test_a_universe_of_non_strings_prints_through_str(value, text):
+    assert repr(value) == text
