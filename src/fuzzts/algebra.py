@@ -7,7 +7,8 @@ from dataclasses import dataclass
 
 from .bisim import Verdict, Witness, check_bisimulation
 from .core import (
-    Fts, Relation, StateMap, check_alphabets, check_relation, image_sups, least_difference, members
+    Fts, Relation, StateMap, check_alphabets, check_relation, image, image_sups,
+    least_difference, members,
 )
 from .degrees import ONE, ZERO, Degree
 from .errors import ModelError, UniverseError
@@ -39,8 +40,8 @@ def parallel_compose(f1: Fts, f2: Fts) -> Fts:
         for t in f2.sorted_states():
             source = product_id(s, t)
             for a in sorted(labels):
-                lefts = f1.delta(s, a).items() if a in f1.labels else [(s, ONE)]
-                rights = f2.delta(t, a).items() if a in f2.labels else [(t, ONE)]
+                lefts = image(f1, s, a).items() if a in f1.labels else [(s, ONE)]
+                rights = image(f2, t, a).items() if a in f2.labels else [(t, ONE)]
                 delta[(source, a)] = {
                     product_id(s2, t2): min(d1, d2)
                     for s2, d1 in lefts
@@ -85,7 +86,7 @@ def check_homomorphism(f1: Fts, f2: Fts, fmap: StateMap) -> Verdict:
         fs = image_of[s]
         for a in labels:
             _, required = image_sups(f1, image_of, s, a)
-            actual = dict(f2.delta(fs, a).items())
+            actual = image(f2, fs, a)
             if required != actual:
                 t = least_difference(required, actual)
                 return Verdict(False, Witness(
@@ -113,9 +114,9 @@ def hom_image(f1: Fts, f2: Fts, fmap: StateMap) -> Fts:
     verdict = check_homomorphism(f1, f2, fmap)
     if not verdict.holds:
         raise NotHomomorphismError(verdict)
-    image = fmap.image()
-    delta = {(s, a): f2.delta(s, a) for s in image for a in f2.labels}
-    return Fts(image, f2.labels, f2.init, delta, name=f2.name)
+    states = fmap.image()
+    delta = {(s, a): image(f2, s, a) for s in states for a in f2.labels}
+    return Fts(states, f2.labels, f2.init, delta, name=f2.name)
 
 
 def kernel(fmap: StateMap) -> Relation:

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 
 from .core import (
     Blocks, Fts, FuzzyAutomaton, Relation, adjacency, check_alphabets, check_relation,
-    decompose, image_sups, least_difference, members,
+    decompose, image, image_sups, least_difference, members,
 )
 from .degrees import Degree, ZERO
 from .partition import coarsest_partition
@@ -118,11 +118,12 @@ def check_strong_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     directions = (("left-move", rights, False), ("right-move", lefts, True))
     for s, t in r.sorted_pairs():
         for a in labels:
-            images = (f1.delta(s, a), f2.delta(t, a))
+            images = (image(f1, s, a), image(f2, t, a))
             for kind, partners, flip in directions:
                 moves, answers = images[::-1] if flip else images
-                for target, moved in moves.items():
-                    best = max(map(answers, partners.get(target, ())), default=ZERO)
+                for target, moved in sorted(moves.items()):
+                    answered = (answers.get(p, ZERO) for p in partners.get(target, ()))
+                    best = max(answered, default=ZERO)
                     if best < moved:
                         degrees = (best, moved) if flip else (moved, best)
                         return Verdict(False, Witness(s, t, a, kind, target, *degrees))

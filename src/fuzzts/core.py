@@ -186,11 +186,12 @@ class Fts(Value):
     ``delta`` gives each (state, label) image as its (target, degree)
     entries: a dict, or a ``FuzzySet`` read through ``items()``.  Every
     entry is checked, so a target outside ``states`` raises
-    ``UniverseError``, and then :meth:`_from_images` makes each image a
-    ``FuzzySet`` over ``states``; building costs O(|S| + |A| + |E|).
+    ``UniverseError``; building costs O(|S| + |A| + |E|).  Each nonzero
+    image is stored as its ``{target: Degree}`` dict, read by :func:`image`
+    and handed out by :meth:`delta` as a ``FuzzySet`` over ``states``.
     """
 
-    __slots__ = ("states", "labels", "init", "name", "_delta", "_zero")
+    __slots__ = ("states", "labels", "init", "name", "_delta")
 
     def __init__(
         self,
@@ -224,20 +225,15 @@ class Fts(Value):
         """The one image builder: a system from ``{target: Degree}`` images
         whose identifiers, keys and degrees are already valid, as the
         constructor, the model parser, the quotient and the product make
-        them.  It owns each dict from then on and makes it, uncopied, the
-        entries of a ``FuzzySet`` over the shared ``states``, dropping zero
-        entries and empty images."""
-        # the slots' own setters, which Value's guard does not reach
-        set_universe, set_entries = FuzzySet.universe.__set__, FuzzySet._entries.__set__
-        table: dict[tuple[str, str], FuzzySet] = {}
+        them.  It owns each dict from then on and stores it uncopied,
+        dropping zero entries and empty images."""
+        table: dict[tuple[str, str], dict[str, Degree]] = {}
         for key, entries in images.items():
             if not all(entries.values()):
                 entries = {target: degree for target, degree in entries.items() if degree}
             if entries:
-                image = table[key] = object.__new__(FuzzySet)
-                set_universe(image, states)
-                set_entries(image, entries)
-        return _rebuild(cls, (states, labels, init, name, table, FuzzySet(states)))
+                table[key] = entries
+        return _rebuild(cls, (states, labels, init, name, table))
 
     @classmethod
     def from_triples(
@@ -278,7 +274,7 @@ class Fts(Value):
             raise UniverseError(f"unknown state {state!r}")
         if label not in self.labels:
             raise UniverseError(f"unknown label {label!r}")
-        return self._delta.get((state, label), self._zero)
+        return _rebuild(FuzzySet, (self.states, image(self, state, label)))
 
     def degree(self, source: str, label: str, target: str) -> Degree:
         return self.delta(source, label)(target)
@@ -286,7 +282,7 @@ class Fts(Value):
     def transitions(self) -> Iterator[tuple[str, str, Degree, str]]:
         """All positive-degree transitions, sorted by (source, label, target)."""
         for (source, label) in sorted(self._delta):
-            for target, degree in self._delta[(source, label)].items():
+            for target, degree in sorted(self._delta[(source, label)].items()):
                 yield source, label, degree, target
 
     def sorted_states(self) -> list[str]:
@@ -296,6 +292,8 @@ class Fts(Value):
         return sorted(self.labels)
 
     def check_word(self, word: Sequence[str]) -> Word:
+        if isinstance(word, str):  # its characters are not its labels
+            raise TypeError(f"a word must be a sequence of labels, got the str {word!r}")
         for symbol in word:
             if symbol not in self.labels:
                 raise UniverseError(f"unknown label {symbol!r} in word")
@@ -303,16 +301,8 @@ class Fts(Value):
 
     def __eq__(self, other):
         if isinstance(other, Fts):
-            # every image ranges over its system's states, compared once
-            return (
-                self.states == other.states
-                and self.labels == other.labels
-                and self.init == other.init
-                and self._delta.keys() == other._delta.keys()
-                and all(
-                    image._entries == other._delta[key]._entries
-                    for key, image in self._delta.items()
-                )
+            return (self.states, self.labels, self.init, self._delta) == (
+                other.states, other.labels, other.init, other._delta
             )
         return NotImplemented
 
@@ -537,6 +527,12 @@ def adjacency(relation: Relation) -> tuple[dict[str, list[str]], dict[str, list[
     return rights, lefts
 
 
+def image(f: Fts, state: str, label: str) -> Mapping[str, Degree]:
+    """The stored ``{target: degree}`` image of ``state`` under ``label``, to
+    read only; the caller checks the state and the label."""
+    return f._delta.get((state, label), {})
+
+
 def image_sups(f: Fts, class_of: Mapping, state: str, label: str) -> tuple[list, dict]:
     """The image of ``state`` under ``label`` against a partial
     ``{state: class}`` map: its (target, degree) entries whose target has no
@@ -544,7 +540,7 @@ def image_sups(f: Fts, class_of: Mapping, state: str, label: str) -> tuple[list,
     reaches (zero elsewhere), at the cost of the image's entries."""
     outside = []
     sups: dict[Hashable, Degree] = {}
-    for target, degree in f.delta(state, label)._entries.items():
+    for target, degree in image(f, state, label).items():
         c = class_of.get(target)
         if c is None:
             outside.append((target, degree))

@@ -30,16 +30,16 @@ Two kinds of walk use the kernel:
 * :func:`step`, :func:`delta_word`, :func:`lang_degree` and
   :func:`accept_degree` walk states, ``{state: degree}``: their results
   are per state or weigh final degrees, which bisimilarity does not keep.
-  Each step, ``_step``, reads the images ``f.delta(source, label)`` of the
-  sources in the distribution's support only, so a word costs the edges
-  leaving its distributions' supports.
+  Each step, ``_step``, reads the stored images
+  :func:`fuzzts.core.image` of the sources in the distribution's support
+  only, so a word costs the edges leaving its distributions' supports.
 """
 
 from __future__ import annotations
 
 from typing import Hashable, Sequence
 
-from .core import Fts, FuzzyAutomaton, FuzzySet, Word, check_alphabets
+from .core import Fts, FuzzyAutomaton, FuzzySet, Word, check_alphabets, image
 from .degrees import ONE, ZERO, Degree
 from .errors import UniverseError
 from .partition import graded
@@ -62,7 +62,7 @@ def _advance(succ: _Successors, mu: dict, label: str) -> dict:
 def _step(f: Fts, mu: dict[str, Degree], label: str) -> dict[str, Degree]:
     """One step over the states of ``f``, reading the images of the
     support's states only."""
-    images = {(source, label): f.delta(source, label).items() for source in mu}
+    images = {(source, label): image(f, source, label).items() for source in mu}
     return _advance(images, mu, label)
 
 

@@ -636,6 +636,26 @@ class TestDeterminismAndEntryPoints:
             outputs.append(out)
         assert outputs[0] == outputs[1]
 
+    @pytest.mark.parametrize("seed", ["0", "12345"])
+    def test_transcript_does_not_depend_on_the_hash_seed(self, tmp_path, seed):
+        # the golden test runs in this process, under one hash seed only
+        setup_fixtures(tmp_path)
+        tests = str(Path(__file__).parent)
+        env = {
+            **os.environ,
+            "PYTHONHASHSEED": seed,
+            "PYTHONPATH": os.pathsep.join((tests, os.environ["PYTHONPATH"])),
+        }
+        script = (
+            "import sys, test_cli_transcript;"
+            "sys.stdout.buffer.write(test_cli_transcript.transcript().encode('utf-8'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", script], cwd=tmp_path, env=env, capture_output=True,
+        )
+        assert result.returncode == 0, result.stderr.decode()
+        assert result.stdout == (DATA / "cli_transcript.txt").read_bytes()
+
     def test_module_entry_point(self):
         result = subprocess.run(
             [sys.executable, "-m", "fuzzts", "lang",

@@ -169,6 +169,25 @@ def test_accept_bounded_by_language():
             assert accept_degree(m, word) <= lang_degree(m.base, m.base.init, word)
 
 
+def test_a_str_is_not_a_word():
+    # with labels a, b and ab, the str "ab" could be read as the word a.b
+    f = Fts.from_triples(
+        ["s", "t", "u"], ["a", "b", "ab"], "s",
+        [("s", "a", "1", "t"), ("t", "b", "0.5", "u"), ("s", "ab", "0.2", "u")],
+    )
+    m = FuzzyAutomaton(f, FuzzySet(f.states, {"u": "1"}))
+    assert lang_degree(f, "s", ("ab",)) == accept_degree(m, ("ab",)) == d("0.2")
+    assert lang_degree(f, "s", ("a", "b")) == accept_degree(m, ("a", "b")) == d("0.5")
+    assert delta_word(f, "s", ("ab",)) == FuzzySet(f.states, {"u": "0.2"})
+    for call in (
+        lambda: lang_degree(f, "s", "ab"),
+        lambda: delta_word(f, "s", "ab"),
+        lambda: accept_degree(m, "ab"),
+    ):
+        with pytest.raises(TypeError, match="str"):
+            call()
+
+
 def test_lang_equal_up_to_fixture(choice_late, choice_early):
     # same language even though the systems are not bisimilar
     assert lang_equal_up_to(choice_late, "s0", choice_early, "t0", 5)

@@ -6,7 +6,8 @@ that module.  The text formats read only the data layer.  No module imports
 another's private name, and each setting guard is written once.  The CLI
 derives a witness's report from its fields rather than spelling them.  Only
 the constructor and the producers that check their images as they make them
-call the unchecking image builder, so public input cannot skip the checks.
+call the unchecking image builder, so public input cannot skip the checks,
+and only ``core`` reads the stored form of an image.
 """
 
 import ast
@@ -110,3 +111,13 @@ def test_only_producers_of_checked_images_call_the_builder():
         ("core", "Fts.__init__"),
         ("modelfile", "parse_model"),
     ]
+
+
+def test_only_core_reads_the_stored_images():
+    readers = {
+        module
+        for module, source in SOURCES.items()
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr in ("_delta", "_entries")
+    }
+    assert readers == {"core"}

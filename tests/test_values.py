@@ -70,7 +70,8 @@ def test_copied_systems_keep_names_finals_and_shared_universes(how):
     clone = COPIES[how](m)
     assert clone.base.name == m.base.name == "choice_early"
     assert clone.final.items() == m.final.items()
-    assert all(image.universe is clone.base.states for image in clone.base._delta.values())
+    f = clone.base
+    assert all(f.delta(s, a).universe is f.states for s in f.states for a in f.labels)
     assert clone.final.universe is clone.base.states
 
 
