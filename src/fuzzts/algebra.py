@@ -36,10 +36,10 @@ def parallel_compose(f1: Fts, f2: Fts) -> Fts:
     if len(states) < len(f1.states) * len(f2.states):
         raise ModelError("product state ids collide: two state pairs share an id")
     delta: dict[tuple[str, str], dict[str, Degree]] = {}
-    for s in f1.sorted_states():
-        for t in f2.sorted_states():
+    for s in f1.states:
+        for t in f2.states:
             source = product_id(s, t)
-            for a in sorted(labels):
+            for a in labels:
                 lefts = image(f1, s, a).items() if a in f1.labels else [(s, ONE)]
                 rights = image(f2, t, a).items() if a in f2.labels else [(t, ONE)]
                 delta[(source, a)] = {
@@ -67,25 +67,23 @@ def check_homomorphism(f1: Fts, f2: Fts, fmap: StateMap) -> Verdict:
     degree of every transition equals the supremum over the preimage:
     delta2(f(s), a)(t) = sup of delta1(s, a) over f's preimage of t.
 
-    Each (s, a), in sorted order, compares the preimage suprema of
-    delta1(s, a), read by :func:`~fuzzts.core.image_sups` with the map as
-    class map, with the stored entries of delta2(f(s), a); a mismatch names
-    the least state where the two differ.  Cost O(|S1|*|A| + |E1| + |E2|).
+    Each (s, a), in sorted order, compares delta1(s, a)'s preimage suprema,
+    read by :func:`~fuzzts.core.image_sups` with ``(f(s),)`` as the keys of
+    s, with the stored entries of delta2(f(s), a); a mismatch names the
+    least state where the two differ.  Cost O(|S1|*|A| + |E1| + |E2|).
     """
     check_alphabets(f1, f2)
     if fmap.domain != f1.states or fmap.codomain != f2.states:
         raise UniverseError("map does not run between the two state sets")
     mapped_init = fmap(f1.init)
     if mapped_init != f2.init:
-        return Verdict(
-            False, Witness(f1.init, mapped_init, None, "init-map", f2.init)
-        )
-    image_of = fmap._table
+        return Verdict(False, Witness(f1.init, mapped_init, None, "init-map", f2.init))
+    pairs = fmap.items()
+    keys_of = {s: (fs,) for s, fs in pairs}
     labels = f1.sorted_labels()
-    for s in f1.sorted_states():
-        fs = image_of[s]
+    for s, fs in pairs:
         for a in labels:
-            _, required = image_sups(f1, image_of, s, a)
+            _, required = image_sups(f1, keys_of, s, a)
             actual = image(f2, fs, a)
             if required != actual:
                 t = least_difference(required, actual)
@@ -123,7 +121,7 @@ def kernel(fmap: StateMap) -> Relation:
     """States identified by the map; always an equivalence on the domain.
 
     Groups the domain by image, so it costs O(|D| log |D| + output)."""
-    groups = members(fmap._table).values()
+    groups = members(dict(fmap.items())).values()
     return Relation.from_blocks(fmap.domain, fmap.domain, ((g, g) for g in groups))
 
 
@@ -147,7 +145,7 @@ def pull_relation(fmap: StateMap, r: Relation) -> Relation:
     of y, so it costs O(|D| log |D| + |r| + output)."""
     if r.left_universe != fmap.codomain or r.right_universe != fmap.codomain:
         raise UniverseError("relation is not over the map's codomain")
-    preimage = members(fmap._table)
+    preimage = members(dict(fmap.items()))
     pairs = {
         (s, t)
         for x, y in r.pairs
@@ -167,7 +165,7 @@ class QuotientFts:
     @property
     def classes(self) -> dict[str, frozenset[str]]:
         """``{class: its members}`` by least member, read off ``class_of``."""
-        return {c: frozenset(group) for c, group in members(self.class_of._table).items()}
+        return {c: frozenset(group) for c, group in members(dict(self.class_of.items())).items()}
 
 
 def quotient(f: Fts, r: Relation) -> QuotientFts:

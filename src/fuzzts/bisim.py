@@ -13,9 +13,11 @@ related pair (s, t) and label:
      have equal suprema.
 
 The check and :func:`refine` read all three from one
-:func:`~fuzzts.core.image_sups` per image, with the blocks as classes.  The
-literal subset-pair form and the brute-force enumeration of bisimulations
-are exponential oracles in :mod:`fuzzts.oracles`.  Verdicts carry the least
+:func:`~fuzzts.core.image_sups` per image, with the blocks as keys;
+:func:`check_strong_bisimulation` reads each side's answers to the other's
+moves from one per image, with each state's partners as keys.  The literal
+subset-pair form and the brute-force enumeration of bisimulations are
+exponential oracles in :mod:`fuzzts.oracles`.  Verdicts carry the least
 failing item by (left state, right state, label), then left support
 violations by state, right ones by state, and block mismatches by index.
 
@@ -66,10 +68,10 @@ def _format_block(block: tuple[frozenset[str], frozenset[str]]) -> str:
     return f"{{{left}}}~{{{right}}}"
 
 
-def _block_maps(blocks: Blocks) -> tuple[dict[str, int], dict[str, int]]:
-    """``{state: block index}`` on each side, over the states the blocks cover."""
-    left = {s: i for i, (u, _) in enumerate(blocks) for s in u}
-    right = {t: i for i, (_, v) in enumerate(blocks) for t in v}
+def _block_maps(blocks: Blocks) -> tuple[dict[str, tuple[int]], dict[str, tuple[int]]]:
+    """``{state: (block index,)}`` on each side, over the states the blocks cover."""
+    left = {s: (i,) for i, (u, _) in enumerate(blocks) for s in u}
+    right = {t: (i,) for i, (_, v) in enumerate(blocks) for t in v}
     return left, right
 
 
@@ -113,21 +115,25 @@ def check_strong_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     matched by a related target reached with at least the same degree."""
     check_relation(f1, f2, r)
     rights, lefts = adjacency(r)
+    # a side's answer to a move into x: its image's supremum over x's partners
+    right_answers = functools.cache(functools.partial(image_sups, f2, lefts))
+    left_answers = functools.cache(functools.partial(image_sups, f1, rights))
     labels = f1.sorted_labels()
-    # (witness kind, partners of a target on the answering side, right side moves)
-    directions = (("left-move", rights, False), ("right-move", lefts, True))
     for s, t in r.sorted_pairs():
         for a in labels:
-            images = (image(f1, s, a), image(f2, t, a))
-            for kind, partners, flip in directions:
-                moves, answers = images[::-1] if flip else images
-                for target, moved in sorted(moves.items()):
-                    answered = (answers.get(p, ZERO) for p in partners.get(target, ()))
-                    best = max(answered, default=ZERO)
-                    if best < moved:
-                        degrees = (best, moved) if flip else (moved, best)
-                        return Verdict(False, Witness(s, t, a, kind, target, *degrees))
+            if miss := _unmatched(image(f1, s, a), right_answers(t, a)[1]):
+                x, moved, best = miss
+                return Verdict(False, Witness(s, t, a, "left-move", x, moved, best))
+            if miss := _unmatched(image(f2, t, a), left_answers(s, a)[1]):
+                y, moved, best = miss
+                return Verdict(False, Witness(s, t, a, "right-move", y, best, moved))
     return Verdict(True)
+
+
+def _unmatched(moves: dict, answers: dict) -> tuple | None:
+    """The least target that ``answers`` gives less than ``moves`` does, with both degrees."""
+    x = min((x for x, moved in moves.items() if answers.get(x, ZERO) < moved), default=None)
+    return None if x is None else (x, moves[x], answers.get(x, ZERO))
 
 
 def refine(f1: Fts, f2: Fts, r: Relation) -> Relation:

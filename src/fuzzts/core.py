@@ -1,7 +1,8 @@
 """Core data model: fuzzy sets, fuzzy transition systems, relations, state
 maps, and the checking rules the other modules share, each stated once:
-the setting guards, a relation's blocks, an image's suprema over the classes
-of a partition, and the least key where two suprema differ (the witness).
+the setting guards, a relation's blocks, an image's suprema over the keys
+its targets carry (a partition's classes or a relation's partners), and the
+least key where two suprema differ (the witness).
 
 Everything here is a value: immutable after construction, deletion included,
 equal to another instance of its type with the same contents, hashable, and
@@ -398,14 +399,8 @@ class Relation(Value):
         other's left universe."""
         if self.right_universe != other.left_universe:
             raise UniverseError("composition universes do not line up")
-        by_mid: dict[str, set[str]] = {}
-        for mid, right in other.pairs:
-            by_mid.setdefault(mid, set()).add(right)
-        pairs = {
-            (left, right)
-            for left, mid in self.pairs
-            for right in by_mid.get(mid, ())
-        }
+        rights, _ = adjacency(other)
+        pairs = {(left, right) for left, mid in self.pairs for right in rights.get(mid, ())}
         return Relation(self.left_universe, other.right_universe, pairs)
 
     def union(self, other: "Relation") -> "Relation":
@@ -533,19 +528,20 @@ def image(f: Fts, state: str, label: str) -> Mapping[str, Degree]:
     return f._delta.get((state, label), {})
 
 
-def image_sups(f: Fts, class_of: Mapping, state: str, label: str) -> tuple[list, dict]:
-    """The image of ``state`` under ``label`` against a partial
-    ``{state: class}`` map: its (target, degree) entries whose target has no
-    class, in state order, and ``{class: supremum}`` over the classes it
-    reaches (zero elsewhere), at the cost of the image's entries."""
+def image_sups(f: Fts, keys_of: Mapping, state: str, label: str) -> tuple[list, dict]:
+    """The image of ``state`` under ``label`` against a partial ``{state:
+    keys}`` map, each state's keys a collection: its (target, degree) entries
+    whose target has no keys, in state order, and ``{key: supremum}`` over
+    the targets carrying each key, at the cost of the entries and their keys."""
     outside = []
     sups: dict[Hashable, Degree] = {}
     for target, degree in image(f, state, label).items():
-        c = class_of.get(target)
-        if c is None:
+        keys = keys_of.get(target)
+        if keys is None:
             outside.append((target, degree))
-        elif degree > sups.get(c, ZERO):
-            sups[c] = degree
+        for key in keys or ():
+            if degree > sups.get(key, ZERO):
+                sups[key] = degree
     outside.sort()
     return outside, sups
 

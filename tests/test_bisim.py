@@ -239,6 +239,28 @@ class TestCheckStrongBisimulation:
         assert outcomes["holds"] >= 500, outcomes
         assert outcomes["left-move"] >= 150 and outcomes["right-move"] >= 100, outcomes
 
+    def test_matches_two_loop_oracle_on_inflated_pairs(self):
+        """Verdict and witness equal the oracle's where states have several
+        partners, so one target's answers serve several pairs: the graph of
+        an inflated system's map back to its base (its copies perturbed),
+        the inflated system's self-bisimilarity, and seeded relations
+        between the inflated system and its base."""
+        rng = random.Random(27182)
+        outcomes = Counter()
+        for _ in range(600):
+            big, g, fmap = helpers.inflated_hom_case(rng)
+            cases = [
+                (big, g, graph_of(fmap)),
+                (big, big, bisimilarity(big, big)),
+                (big, g, helpers.random_relation(rng, big, g, rng.random())),
+            ]
+            for f1, f2, r in cases:
+                verdict = check_strong_bisimulation(f1, f2, r)
+                assert verdict == helpers.check_strong_bisimulation_oracle(f1, f2, r), (f1, f2, r)
+                outcomes[verdict.witness.kind if verdict.witness else "holds"] += 1
+        assert outcomes["holds"] >= 600, outcomes
+        assert outcomes["left-move"] >= 300 and outcomes["right-move"] >= 150, outcomes
+
 
 class TestRefine:
     def test_bisimulation_iff_contained_in_refinement(self):

@@ -19,6 +19,7 @@ from fuzzts import (
     graph_of,
     is_correlational,
 )
+from fuzzts.core import image_sups
 
 
 class TestFuzzySet:
@@ -296,6 +297,22 @@ class TestEquivalenceAgainstDefinition:
                         rel.equivalence_classes()
                 outcomes[expected] += 1
         assert outcomes[True] > 600 and outcomes[False] > 800
+
+
+class TestImageSups:
+    def test_a_target_with_two_keys_raises_both_suprema(self):
+        """x raises k and m, y raises m and n; z and w carry no keys and come
+        back outside in state order, though the image lists z first."""
+        f = Fts.from_triples(
+            ["s", "x", "y", "z", "w"], ["a"], "s",
+            [("s", "a", "0.8", "x"), ("s", "a", "0.9", "z"),
+             ("s", "a", "0.5", "y"), ("s", "a", "0.2", "w")],
+        )
+        keys_of = {"x": ("k", "m"), "y": ("m", "n")}
+        outside, sups = image_sups(f, keys_of, "s", "a")
+        high, low = Degree.parse("0.8"), Degree.parse("0.5")
+        assert sups == {"k": high, "m": high, "n": low}
+        assert outside == [("w", Degree.parse("0.2")), ("z", Degree.parse("0.9"))]
 
 
 class TestDecompose:

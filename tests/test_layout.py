@@ -7,7 +7,9 @@ another's private name, and each setting guard is written once.  The CLI
 derives a witness's report from its fields rather than spelling them.  Only
 the constructor and the producers that check their images as they make them
 call the unchecking image builder, so public input cannot skip the checks,
-and only ``core`` reads the stored form of an image.
+and only ``core`` reads the stored form of an image or of a state map.  The
+strong check reads its answers through ``core.image_sups``, as every other
+check reads its suprema.
 """
 
 import ast
@@ -118,6 +120,16 @@ def test_only_core_reads_the_stored_images():
         module
         for module, source in SOURCES.items()
         for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and node.attr in ("_delta", "_entries")
+        if isinstance(node, ast.Attribute) and node.attr in ("_delta", "_entries", "_table")
     }
     assert readers == {"core"}
+
+
+def test_the_strong_check_reads_its_answers_through_the_one_supremum_rule():
+    check = next(
+        node for node in ast.walk(ast.parse(SOURCES["bisim"]))
+        if isinstance(node, ast.FunctionDef) and node.name == "check_strong_bisimulation"
+    )
+    names = {node.id for node in ast.walk(check) if isinstance(node, ast.Name)}
+    assert "image_sups" in names
+    assert "max" not in names
