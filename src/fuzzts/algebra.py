@@ -107,14 +107,16 @@ def hom_image(f1: Fts, f2: Fts, fmap: StateMap) -> Fts:
     """The subsystem of f2 carried by the image of a homomorphism.
 
     Checks the map once; a non-homomorphism raises
-    :class:`NotHomomorphismError`, which carries the failed verdict.
+    :class:`NotHomomorphismError`, which carries the failed verdict.  The
+    check also shows the image closed, a positive entry outside it being a
+    mismatch, so f2's images of its states go to the builder unchecked.
     """
     verdict = check_homomorphism(f1, f2, fmap)
     if not verdict.holds:
         raise NotHomomorphismError(verdict)
     states = fmap.image()
     delta = {(s, a): image(f2, s, a) for s in states for a in f2.labels}
-    return Fts(states, f2.labels, f2.init, delta, name=f2.name)
+    return Fts._from_images(states, f2.labels, f2.init, delta, f2.name)
 
 
 def kernel(fmap: StateMap) -> Relation:

@@ -149,14 +149,7 @@ class FuzzySet(Value):
 
     def sup(self, states: Iterable[str]) -> Degree:
         """Maximum degree over ``states`` (zero for the empty set)."""
-        best = ZERO
-        for state in states:
-            if state not in self.universe:
-                raise UniverseError(f"state {state!r} outside universe")
-            degree = self._entries.get(state)
-            if degree is not None and degree > best:
-                best = degree
-        return best
+        return max(map(self, states), default=ZERO)
 
     @property
     def height(self) -> Degree:
@@ -224,10 +217,10 @@ class Fts(Value):
     def _from_images(cls, states: frozenset[str], labels: frozenset[str], init: str,
                      images: Mapping[tuple[str, str], dict[str, Degree]], name: str) -> "Fts":
         """The one image builder: a system from ``{target: Degree}`` images
-        whose identifiers, keys and degrees are already valid, as the
-        constructor, the model parser, the quotient and the product make
-        them.  It owns each dict from then on and stores it uncopied,
-        dropping zero entries and empty images."""
+        whose identifiers, keys and degrees are already valid, as its six
+        callers make them.  It stores each dict uncopied, dropping zero
+        entries and empty images; a dict may be shared with another system,
+        as ``hom_image`` shares f2's, since no system ever changes one."""
         table: dict[tuple[str, str], dict[str, Degree]] = {}
         for key, entries in images.items():
             if not all(entries.values()):
@@ -246,13 +239,14 @@ class Fts(Value):
         name: str = "S",
     ) -> "Fts":
         """Build and validate a system from (source, label, degree, target)
-        transition triples.
+        transition triples, checking each once.
 
         Rejects unknown identifiers, out-of-range degrees, and duplicate
-        (source, label, target) triples, zero-degree ones included.
-        """
-        state_set = frozenset(states)
-        label_set = frozenset(labels)
+        (source, label, target) triples, zero-degree ones included.  The
+        setting is checked first, so a bad identifier, no states or an init
+        that is not a state is reported before any triple's fault."""
+        setting = cls(states, labels, init, name=name)
+        state_set, label_set = setting.states, setting.labels
         images: dict[tuple[str, str], dict[str, Degree]] = {}
         for source, label, value, target in triples:
             if source not in state_set:
@@ -267,7 +261,7 @@ class Fts(Value):
                     f"duplicate transition triple ({source}, {label}, {target})"
                 )
             entries[target] = as_degree(value)
-        return cls(state_set, label_set, init, images, name=name)
+        return cls._from_images(state_set, label_set, init, images, name)
 
     def delta(self, state: str, label: str) -> FuzzySet:
         """The possibility distribution of targets for (state, label)."""
@@ -470,7 +464,10 @@ class StateMap(Value):
     def __init__(self, mapping, domain, codomain):
         domain, codomain = frozenset(domain), frozenset(codomain)
         table = dict(mapping)
-        if set(table) != domain:
+        for source in table:
+            if source not in domain:
+                raise UniverseError(f"map source {source!r} is outside the domain")
+        if len(table) != len(domain):
             raise ModelError("map is not total on the domain")
         for value in table.values():
             if value not in codomain:

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 import helpers
+from fuzzts import core
 from fuzzts import (
     AlphabetError,
     Degree,
@@ -63,6 +64,13 @@ class TestStateMap:
     def test_images_in_codomain(self):
         with pytest.raises(UniverseError):
             StateMap({"a": "z"}, {"a"}, {"x"})
+
+    def test_sources_in_domain(self):
+        # every domain state is mapped, so the fault is the stray source
+        with pytest.raises(UniverseError, match="map source 'z' is outside the domain"):
+            StateMap({"x": "p", "z": "p"}, {"x"}, {"p"})
+        with pytest.raises(UniverseError, match="map source 'z'"):
+            StateMap({"z": "p"}, {"x"}, {"p"})
 
     def test_identity(self):
         m = StateMap.identity({"a", "b"})
@@ -535,10 +543,11 @@ class TestAgainstOracles:
 class TestProducersAgainstFromTriples:
     """Each producer hands Fts its images as entries; the system it builds
     must equal the one from_triples builds from the same transitions.  The
-    parser, the quotient (behind minimize too) and the product skip the
-    constructor's checks, so their systems must also equal, hash like and
-    serialize like the checking constructor's from the same images, and
-    every image must range over the system's own states object."""
+    parser, the quotient (behind minimize too), the product, the
+    homomorphic image and from_triples itself skip the constructor's
+    checks, so their systems must also equal, hash like and serialize like
+    the checking constructor's from the same images, and every image must
+    range over the system's own states object."""
 
     def test_every_producer_matches_from_triples(self):
         rng = random.Random(3037)
@@ -576,6 +585,47 @@ class TestProducersAgainstFromTriples:
                 ), producer
                 built[producer] += 1
         assert min(built.values()) > 50
+
+
+class TestCheckedOnce:
+    """Each system is checked once on its way in, counted by behaviour: the
+    constructor checks each image it is given through
+    ``core._checked_entries``, and ``from_triples``, which checks each
+    triple as it reads it, and ``hom_image``, which takes its images from a
+    checked system, check no image again."""
+
+    @pytest.fixture
+    def checks(self, monkeypatch):
+        calls = []
+        original = core._checked_entries
+
+        def counted(universe, entries):
+            calls.append(universe)
+            return original(universe, entries)
+
+        monkeypatch.setattr(core, "_checked_entries", counted)
+        return calls
+
+    def test_constructor_checks_each_image_once(self, checks):
+        images = {("s", "a"): {"t": "1"}, ("t", "a"): {"s": "0"}, ("t", "b"): {}}
+        Fts({"s", "t"}, {"a", "b"}, "s", images)
+        assert len(checks) == 3
+        checks.clear()
+        Fts({"s"}, {"a"}, "s")
+        assert checks == []
+
+    def test_from_triples_and_hom_image_check_nothing_again(self, checks):
+        rng = random.Random(3041)
+        images = 0
+        for f1, f2, fmap in _hom_cases(rng, 200):
+            checks.clear()
+            rebuilt = Fts.from_triples(f1.states, f1.labels, f1.init, f1.transitions())
+            assert rebuilt == f1 and checks == []
+            if check_homomorphism(f1, f2, fmap).holds:
+                image = hom_image(f1, f2, fmap)
+                assert image.states == fmap.image() and checks == []
+                images += any(image.transitions())
+        assert images > 20
 
 
 def test_homomorphism_suite_scales_linearly():

@@ -103,6 +103,20 @@ class TestFts:
             Fts.from_triples(
                 ["s"], ["a"], "s", [("s", "a", "x", "s"), ("x", "a", "1", "s")]
             )
+        # the setting: each fault raises as it does through the constructor
+        with pytest.raises(ModelError, match="no states"):
+            Fts.from_triples([], ["a"], "s", [])
+        with pytest.raises(ModelError, match="initial state 'x' is not a state"):
+            Fts.from_triples(["s"], ["a"], "x", [("s", "a", "1", "s")])
+        with pytest.raises(ModelError, match="bad state identifier: 's 1'"):
+            Fts.from_triples(["s 1"], ["a"], "s 1", [("s 1", "a", "1", "s 1")])
+        with pytest.raises(ModelError, match="bad label identifier: 'a:'"):
+            Fts.from_triples(["s"], ["a:"], "s", [("s", "a:", "1", "s")])
+        with pytest.raises(ModelError, match="bad system name identifier"):
+            Fts.from_triples(["s"], ["a"], "s", [], name="my system")
+        # a setting fault is reported before a triple's
+        with pytest.raises(ModelError, match="no states"):
+            Fts.from_triples([], ["a"], "s", [("s", "a", "1", "s")])
         with pytest.raises(ModelError, match="no states"):
             Fts(set(), {"a"}, "s")
         with pytest.raises(ModelError, match="initial state"):

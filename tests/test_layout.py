@@ -5,9 +5,10 @@ Exponential oracles live in :mod:`fuzzts.oracles`, and only the package root
 that module.  The text formats read only the data layer.  No module imports
 another's private name, and each setting guard is written once.  The CLI
 derives a witness's report from its fields rather than spelling them.  Only
-the constructor and the producers that check their images as they make them
-call the unchecking image builder, so public input cannot skip the checks,
-and only ``core`` reads the stored form of an image or of a state map.  The
+the constructor and the producers whose images are valid as made (checked
+as they are read, or taken from checked systems) call the unchecking image
+builder, so public input cannot skip the checks, and only ``core`` reads
+the stored form of an image or of a state map.  The
 strong check reads its answers through ``core.image_sups``, as every other
 check reads its suprema.
 """
@@ -109,8 +110,10 @@ def test_only_producers_of_checked_images_call_the_builder():
     ]
     assert sorted(uses) == [
         ("algebra", "_quotient"),
+        ("algebra", "hom_image"),
         ("algebra", "parallel_compose"),
         ("core", "Fts.__init__"),
+        ("core", "Fts.from_triples"),
         ("modelfile", "parse_model"),
     ]
 
