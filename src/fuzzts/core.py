@@ -17,6 +17,7 @@ deterministic orderings are lexicographic throughout.
 from __future__ import annotations
 
 import re
+from itertools import product
 from operator import attrgetter
 from typing import Hashable, Iterable, Iterator, Mapping, Sequence
 
@@ -289,10 +290,11 @@ class Fts(Value):
     def check_word(self, word: Sequence[str]) -> Word:
         if isinstance(word, str):  # its characters are not its labels
             raise TypeError(f"a word must be a sequence of labels, got the str {word!r}")
+        word = tuple(word)  # read once: an iterator is used up by one pass
         for symbol in word:
             if symbol not in self.labels:
                 raise UniverseError(f"unknown label {symbol!r} in word")
-        return tuple(word)
+        return word
 
     def __eq__(self, other):
         if isinstance(other, Fts):
@@ -367,7 +369,7 @@ class Relation(Value):
         blocks: Iterable[tuple[Iterable[str], Iterable[str]]],
     ) -> "Relation":
         """The union of U x V over the (U, V) ``blocks``."""
-        return cls(left, right, {(s, t) for u, v in blocks for s in u for t in v})
+        return cls(left, right, {pair for u, v in blocks for pair in product(u, v)})
 
     def replace_pairs(self, pairs: Iterable[tuple[str, str]]) -> "Relation":
         return Relation(self.left_universe, self.right_universe, pairs)

@@ -9,12 +9,11 @@ Model file layout::
     trans: SRC LABEL DEGREE DST
     final: STATE DEGREE
 
-A line ends at a line feed, a carriage return or the pair of them, and
-nowhere else: a form feed, NEL or U+2028 inside a comment does not end it.
+A line ends only at a line feed, a carriage return or the pair of them, the
+newlines ``open()`` translates: a form feed, NEL or U+2028 does not end it.
 "#" starts a comment, blank lines are ignored, and exactly one each of the
-states/labels/init lines must appear before any line that uses them.  A
-transition's degree literal is parsed once per file, then read from a dict.
-Each line is checked as it is read, so the images go to `Fts._from_images`
+states/labels/init lines must appear before any line that uses them.  Each
+line is checked as it is read, so the images go to `Fts._from_images`
 unchecked.  Any "final:" line turns the model into a FuzzyAutomaton.
 Serialization is canonical: sorted states/labels/transitions/finals,
 minimal degree spelling, and only positive final degrees; parse(serialize(m))
@@ -34,43 +33,20 @@ from .degrees import Degree
 from .errors import DegreeError, ModelError, ParseError
 
 
-def _split_lines(text: str) -> list[str]:
-    """The lines of ``text``, ended only by "\\n", "\\r\\n" or "\\r": the
-    newlines ``open()`` translates.  A form feed, NEL or U+2028 stays inside
-    its line, where ``str.splitlines`` would end it."""
+def _lines(text: str) -> tuple[list[tuple[int, str]], int]:
+    """The numbered non-blank lines of ``text``, each cut at "#" and stripped,
+    and the number of its last line (1 for an empty text)."""
     if "\r" in text:
         text = text.replace("\r\n", "\n").replace("\r", "\n")
-    lines = text.split("\n")
-    if not lines[-1]:
-        lines.pop()
-    return lines
-
-
-def _logical_lines(lines: list[str]):
-    for lineno, raw in enumerate(lines, 1):
-        if "#" in raw:
-            raw = raw.split("#", 1)[0]
-        line = raw.strip()
+    raw = text.removesuffix("\n").split("\n")  # str.splitlines ends more lines
+    numbered = []
+    for lineno, line in enumerate(raw, 1):
+        if "#" in line:
+            line = line[: line.index("#")]
+        line = line.strip()
         if line:
-            yield lineno, line
-
-
-def _eof_line(lines: list[str]) -> int:
-    return max(1, len(lines))
-
-
-def _ident(lineno: int, kind: str, token: str) -> str:
-    try:
-        return check_ident(kind, token)
-    except ModelError as err:
-        raise ParseError(lineno, str(err)) from None
-
-
-def _degree(lineno: int, token: str) -> Degree:
-    try:
-        return Degree.parse(token)
-    except DegreeError as err:
-        raise ParseError(lineno, str(err)) from None
+            numbered.append((lineno, line))
+    return numbered, max(1, len(raw))
 
 
 def parse_model(text: str) -> Fts | FuzzyAutomaton:
@@ -81,86 +57,85 @@ def parse_model(text: str) -> Fts | FuzzyAutomaton:
     init = None
     images: defaultdict[tuple[str, str], dict[str, Degree]] = defaultdict(dict)
     finals: dict[str, Degree] = {}
-    literals: dict[str, Degree] = {}
-    lines = _split_lines(text)
-    for lineno, line in _logical_lines(lines):
-        if name is None:
-            parts = line.split()
-            if len(parts) != 2 or parts[0] != "system":
-                raise ParseError(lineno, "expected 'system NAME' header")
-            name = _ident(lineno, "system name", parts[1])
-            continue
-        # nearly every line is a transition: a first token "trans:" needs no
-        # partition, and the transition handler is tested first
-        tokens = line.split()
-        if tokens[0] == "trans:":
-            directive = "trans"
-            del tokens[0]
-        else:
-            directive, sep, rest = line.partition(":")
-            directive = directive.strip()
-            if not sep or " " in directive:
-                raise ParseError(lineno, "expected 'DIRECTIVE: ...'")
-            tokens = rest.split()
-        if directive == "trans":
-            if states is None or labels is None:
-                raise ParseError(
-                    lineno, "'states:' and 'labels:' must come before 'trans:'"
-                )
-            if len(tokens) != 4:
-                raise ParseError(lineno, "expected 'trans: SRC LABEL DEGREE DST'")
-            src, label, degree_text, dst = tokens
-            if src not in states:
-                raise ParseError(lineno, f"unknown state {src!r}")
-            if label not in labels:
-                raise ParseError(lineno, f"unknown label {label!r}")
-            if dst not in states:
-                raise ParseError(lineno, f"unknown state {dst!r}")
-            entries = images[src, label]
-            if dst in entries:
-                raise ParseError(lineno, f"duplicate transition {src} {label} {dst}")
-            degree = literals.get(degree_text)
-            if degree is None:
-                degree = literals[degree_text] = _degree(lineno, degree_text)
-            entries[dst] = degree
-        elif directive == "states":
-            if states is not None:
-                raise ParseError(lineno, "duplicate 'states:' line")
-            if not tokens:
-                raise ParseError(lineno, "no states")
-            if len(set(tokens)) != len(tokens):
-                raise ParseError(lineno, "duplicate state in 'states:' line")
-            states = frozenset(_ident(lineno, "state", t) for t in tokens)
-        elif directive == "labels":
-            if labels is not None:
-                raise ParseError(lineno, "duplicate 'labels:' line")
-            if len(set(tokens)) != len(tokens):
-                raise ParseError(lineno, "duplicate label in 'labels:' line")
-            labels = frozenset(_ident(lineno, "label", t) for t in tokens)
-        elif directive == "init":
-            if init is not None:
-                raise ParseError(lineno, "duplicate 'init:' line")
-            if states is None:
-                raise ParseError(lineno, "'states:' must come before 'init:'")
-            if len(tokens) != 1:
-                raise ParseError(lineno, "expected 'init: STATE'")
-            if tokens[0] not in states:
-                raise ParseError(lineno, f"unknown state {tokens[0]!r}")
-            init = tokens[0]
-        elif directive == "final":
-            if states is None:
-                raise ParseError(lineno, "'states:' must come before 'final:'")
-            if len(tokens) != 2:
-                raise ParseError(lineno, "expected 'final: STATE DEGREE'")
-            state, degree_text = tokens
-            if state not in states:
-                raise ParseError(lineno, f"unknown state {state!r}")
-            if state in finals:
-                raise ParseError(lineno, f"duplicate final degree for {state!r}")
-            finals[state] = _degree(lineno, degree_text)
-        else:
-            raise ParseError(lineno, f"unknown directive {directive!r}")
-    end = _eof_line(lines)
+    lines, end = _lines(text)
+    for lineno, line in lines:
+        try:
+            if name is None:
+                parts = line.split()
+                if len(parts) != 2 or parts[0] != "system":
+                    raise ParseError(lineno, "expected 'system NAME' header")
+                name = check_ident("system name", parts[1])
+                continue
+            # nearly every line is a transition: a first token "trans:" needs
+            # no partition, and the transition handler is tested first
+            tokens = line.split()
+            if tokens[0] == "trans:":
+                directive = "trans"
+                del tokens[0]
+            else:
+                directive, sep, rest = line.partition(":")
+                directive = directive.strip()
+                if not sep or " " in directive:
+                    raise ParseError(lineno, "expected 'DIRECTIVE: ...'")
+                tokens = rest.split()
+            if directive == "trans":
+                if states is None or labels is None:
+                    raise ParseError(
+                        lineno, "'states:' and 'labels:' must come before 'trans:'"
+                    )
+                if len(tokens) != 4:
+                    raise ParseError(lineno, "expected 'trans: SRC LABEL DEGREE DST'")
+                src, label, degree_text, dst = tokens
+                if src not in states:
+                    raise ParseError(lineno, f"unknown state {src!r}")
+                if label not in labels:
+                    raise ParseError(lineno, f"unknown label {label!r}")
+                if dst not in states:
+                    raise ParseError(lineno, f"unknown state {dst!r}")
+                entries = images[src, label]
+                if dst in entries:
+                    raise ParseError(lineno, f"duplicate transition {src} {label} {dst}")
+                entries[dst] = Degree.parse(degree_text)
+            elif directive == "states":
+                if states is not None:
+                    raise ParseError(lineno, "duplicate 'states:' line")
+                if not tokens:
+                    raise ParseError(lineno, "no states")
+                if len(set(tokens)) != len(tokens):
+                    raise ParseError(lineno, "duplicate state in 'states:' line")
+                states = frozenset(check_ident("state", t) for t in tokens)
+            elif directive == "labels":
+                if labels is not None:
+                    raise ParseError(lineno, "duplicate 'labels:' line")
+                if len(set(tokens)) != len(tokens):
+                    raise ParseError(lineno, "duplicate label in 'labels:' line")
+                labels = frozenset(check_ident("label", t) for t in tokens)
+            elif directive == "init":
+                if init is not None:
+                    raise ParseError(lineno, "duplicate 'init:' line")
+                if states is None:
+                    raise ParseError(lineno, "'states:' must come before 'init:'")
+                if len(tokens) != 1:
+                    raise ParseError(lineno, "expected 'init: STATE'")
+                if tokens[0] not in states:
+                    raise ParseError(lineno, f"unknown state {tokens[0]!r}")
+                init = tokens[0]
+            elif directive == "final":
+                if states is None:
+                    raise ParseError(lineno, "'states:' must come before 'final:'")
+                if len(tokens) != 2:
+                    raise ParseError(lineno, "expected 'final: STATE DEGREE'")
+                state, degree_text = tokens
+                if state not in states:
+                    raise ParseError(lineno, f"unknown state {state!r}")
+                if state in finals:
+                    raise ParseError(lineno, f"duplicate final degree for {state!r}")
+                finals[state] = Degree.parse(degree_text)
+            else:
+                raise ParseError(lineno, f"unknown directive {directive!r}")
+        except (ModelError, DegreeError) as err:
+            # a bad identifier or degree literal; ParseError is neither
+            raise ParseError(lineno, str(err)) from None
     if name is None:
         raise ParseError(end, "missing 'system NAME' header")
     if states is None:
@@ -197,7 +172,7 @@ def parse_relation(text: str, left, right) -> Relation:
     left = frozenset(left)
     right = frozenset(right)
     pairs = set()
-    for lineno, line in _logical_lines(_split_lines(text)):
+    for lineno, line in _lines(text)[0]:
         tokens = line.split()
         if len(tokens) != 3 or tokens[0] != "rel:":
             raise ParseError(lineno, "expected 'rel: LEFT RIGHT'")
@@ -220,8 +195,8 @@ def parse_map(text: str, domain, codomain) -> StateMap:
     domain = frozenset(domain)
     codomain = frozenset(codomain)
     table: dict[str, str] = {}
-    lines = _split_lines(text)
-    for lineno, line in _logical_lines(lines):
+    lines, end = _lines(text)
+    for lineno, line in lines:
         tokens = line.split()
         if len(tokens) != 4 or tokens[0] != "map:" or tokens[2] != "->":
             raise ParseError(lineno, "expected 'map: LEFT -> RIGHT'")
@@ -236,8 +211,7 @@ def parse_map(text: str, domain, codomain) -> StateMap:
     missing = domain - set(table)
     if missing:
         raise ParseError(
-            _eof_line(lines),
-            f"map is not total (missing: {' '.join(sorted(missing))})",
+            end, f"map is not total (missing: {' '.join(sorted(missing))})"
         )
     return StateMap(table, domain, codomain)
 

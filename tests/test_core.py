@@ -284,6 +284,12 @@ class TestRelation:
         with pytest.raises(ModelError):
             Relation(states, states, {("a", "b")}).equivalence_classes()
 
+    def test_from_blocks_reads_each_part_once(self):
+        u, v = {"a", "b"}, {"x", "y"}
+        one_shot = Relation.from_blocks(u, v, [(iter(["a", "b"]), iter(["x", "y"]))])
+        assert one_shot == Relation.from_blocks(u, v, [(["a", "b"], ["x", "y"])])
+        assert one_shot == Relation.full(u, v)
+
 
 class TestEquivalenceAgainstDefinition:
     def test_matches_triple_loop(self):

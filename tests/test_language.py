@@ -188,6 +188,18 @@ def test_a_str_is_not_a_word():
             call()
 
 
+def test_an_iterator_word_reads_as_its_tuple():
+    f = Fts.from_triples(["s", "t"], ["a"], "s", [("s", "a", "0.5", "t")])
+    m = FuzzyAutomaton(f, FuzzySet(f.states, {"s": "1", "t": "1"}))
+    for word in (("a",), ("a", "a"), ()):
+        assert lang_degree(f, "s", (x for x in word)) == lang_degree(f, "s", word)
+        assert delta_word(f, "s", (x for x in word)) == delta_word(f, "s", word)
+        assert accept_degree(m, (x for x in word)) == accept_degree(m, word)
+    assert lang_degree(f, "s", iter(["a"])) == d("0.5")
+    assert delta_word(f, "s", iter(["a"])) == FuzzySet(f.states, {"t": "0.5"})
+    assert accept_degree(m, iter(["a"])) == d("0.5")
+
+
 def test_lang_equal_up_to_fixture(choice_late, choice_early):
     # same language even though the systems are not bisimilar
     assert lang_equal_up_to(choice_late, "s0", choice_early, "t0", 5)

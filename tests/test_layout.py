@@ -10,10 +10,12 @@ as they are read, or taken from checked systems) call the unchecking image
 builder, so public input cannot skip the checks, and only ``core`` reads
 the stored form of an image or of a state map.  The
 strong check reads its answers through ``core.image_sups``, as every other
-check reads its suprema.
+check reads its suprema.  The package imports nothing from outside the
+standard library.
 """
 
 import ast
+import sys
 from pathlib import Path
 
 import fuzzts
@@ -47,6 +49,26 @@ IMPORTS = {name: package_imports(source) for name, source in SOURCES.items()}
 def test_every_module_is_read():
     assert {"__init__", "cli", "core", "bisim", "modelfile", "oracles"} <= IMPORTS.keys()
     assert IMPORTS["cli"] >= {"core", "bisim", "modelfile", "oracles"}
+
+
+def absolute_imports(source: str):
+    """The modules a source file imports by absolute name."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module
+
+
+def test_the_package_imports_only_the_standard_library():
+    imported = {
+        (name, module.split(".")[0])
+        for name, source in SOURCES.items()
+        for module in absolute_imports(source)
+    }
+    assert {("core", "re"), ("modelfile", "collections")} <= imported
+    outside = {pair for pair in imported if pair[1] not in sys.stdlib_module_names}
+    assert outside == set()
 
 
 def test_only_the_root_and_the_cli_import_the_oracles():

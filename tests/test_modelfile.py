@@ -183,6 +183,11 @@ def test_all_zero_final_collapses_to_plain_system():
          "not a decimal degree literal"),
         ("system m\nstates: s0\nlabels: a\ninit: s0\nfinal: s0 \uff11\n", 5,
          "not a decimal degree literal"),
+        ("system m\nstates: s0\nlabels: a b:c\n", 3, "bad label identifier: 'b:c'"),
+        ("# a model\n\n# named below\nsystem a:b\n", 4,
+         "bad system name identifier: 'a:b'"),
+        ("system m\nstates: s0\nlabels: a\ninit: s0\nfinal: s0 2\ntrans: s0 a 1 s0\n",
+         5, "degree out of range: '2'"),
     ],
 )
 def test_parse_errors_carry_line_numbers(text, line, fragment):
