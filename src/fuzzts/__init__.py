@@ -30,7 +30,6 @@ from .bisim import (
     check_automaton_bisimulation,
     check_bisimulation,
     check_strong_bisimulation,
-    iterate_refinement,
     refine,
     self_bisimilarity,
     z_closure,
@@ -76,6 +75,7 @@ from .oracles import (
     enumerate_bisimulations_bruteforce,
     is_correlational,
     iter_bisimulations_bruteforce,
+    iterate_refinement,
 )
 
 __all__ = [

@@ -22,9 +22,10 @@ failing item by (left state, right state, label), then left support
 violations by state, right ones by state, and block mismatches by index.
 
 :func:`bisimilarity` runs on the partition engine of :mod:`fuzzts.partition`.
-:func:`refine` and :func:`iterate_refinement` keep the definitional
-greatest-fixed-point iteration as the reference it is tested against; they
-stay here while the benchmark's tracer reads ``bisim.refine`` by name.
+:func:`refine`, the monotone operator whose greatest fixed point is
+bisimilarity, tests each pair of S1 x S2 literally.  Its iteration is an
+oracle in :mod:`fuzzts.oracles`; ``refine`` stays here while the
+benchmark's tracer reads ``bisim.refine`` by name.
 """
 
 from __future__ import annotations
@@ -137,63 +138,33 @@ def _unmatched(moves: dict, answers: dict) -> tuple | None:
 
 
 def refine(f1: Fts, f2: Fts, r: Relation) -> Relation:
-    """One refinement step: all product pairs passing the matching conditions
-    measured against ``r``'s correlational structure.
+    """The monotone refinement operator: the pairs (s, t) of S1 x S2 whose
+    images, under every label, put no weight outside ``r``'s projections
+    and have equal suprema on each block of ``r``.
 
-    A relation is a bisimulation iff it is contained in its own refinement;
-    iterating from the full product converges to bisimilarity.  This is the
-    definitional form of bisimilarity, kept as the reference the tests compare
-    :func:`bisimilarity` against; no library operation calls it.
+    A relation is a bisimulation iff it is contained in its own refinement,
+    and iterating from the full product reaches bisimilarity.  The tests
+    compare :func:`bisimilarity` against it; no library operation calls it.
     """
     check_relation(f1, f2, r)
     left_of, right_of = _block_maps(decompose(r))
-    labels = f1.sorted_labels()
+    left = functools.cache(functools.partial(image_sups, f1, left_of))
+    right = functools.cache(functools.partial(image_sups, f2, right_of))
 
-    def signature(f, class_of, state):
-        sups = []
-        for a in labels:
-            outside, block_sups = image_sups(f, class_of, state, a)
-            if outside:
-                return None
-            sups.append(tuple(sorted(block_sups.items())))
-        return tuple(sups)
+    def matches(s: str, t: str) -> bool:
+        for a in f1.labels:
+            (outside_l, sups_l), (outside_r, sups_r) = left(s, a), right(t, a)
+            if outside_l or outside_r or sups_l != sups_r:
+                return False
+        return True
 
-    left_sig: dict[tuple, list[str]] = {}
-    for s in f1.states:
-        sig = signature(f1, left_of, s)
-        if sig is not None:
-            left_sig.setdefault(sig, []).append(s)
-    pairs = set()
-    for t in f2.states:
-        sig = signature(f2, right_of, t)
-        if sig is not None:
-            for s in left_sig.get(sig, ()):
-                pairs.add((s, t))
+    pairs = {(s, t) for s in f1.states for t in f2.states if matches(s, t)}
     return Relation(f1.states, f2.states, pairs)
-
-
-def iterate_refinement(f1: Fts, f2: Fts) -> list[Relation]:
-    """The non-increasing iteration of :func:`refine` from the full product
-    down to its fixed point, all iterates included.
-
-    Its last iterate is bisimilarity by definition; the tests compare
-    :func:`bisimilarity` against it.  Each round decomposes and refines an
-    explicit pair relation, so this is far slower than the partition engine.
-    """
-    current = Relation.full(f1.states, f2.states)
-    trace = [current]
-    for _ in range(len(f1.states) * len(f2.states) + 1):
-        refined = refine(f1, f2, current)
-        trace.append(refined)
-        if refined == current:
-            return trace
-        current = refined
-    raise AssertionError("refinement failed to stabilize")
 
 
 def bisimilarity(f1: Fts, f2: Fts) -> Relation:
     """The largest bisimulation between the two systems, equal to the union
-    of all bisimulations and to the fixed point of :func:`iterate_refinement`.
+    of all bisimulations and to the greatest fixed point of :func:`refine`.
 
     It is computed as the coarsest stable partition of the disjoint union of
     the two systems, restricted to S1 x S2: the related pairs are those whose

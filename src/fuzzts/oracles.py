@@ -1,11 +1,12 @@
-"""Exponential reference checks, kept as oracles.
+"""Reference checks, kept as oracles.
 
 Each function states a definition literally: every subset pair of states,
-every subset of the state product, every edge of a relation.  They cost
-exponential time or space, refuse inputs above a cap, and no library
-operation calls them; the tests check the fast paths of
-:mod:`fuzzts.core` and :mod:`fuzzts.bisim` against them, and the CLI's
-``check-bisim --naive`` runs :func:`check_bisimulation_naive`.
+every subset of the state product, every edge of a relation, every iterate
+of :func:`~fuzzts.bisim.refine`.  No library operation calls them; the tests
+check the fast paths of :mod:`fuzzts.core` and :mod:`fuzzts.bisim` against
+them, and ``check-bisim --naive`` runs :func:`check_bisimulation_naive`.  The
+subset enumerations are exponential and refuse inputs above a cap; the rest
+are polynomial and have none.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 from itertools import product
 from typing import Iterable
 
-from .bisim import check_bisimulation
+from .bisim import check_bisimulation, refine
 from .core import Fts, Relation, check_alphabets, check_relation
 from .errors import CapError, UniverseError
 
@@ -79,6 +80,25 @@ def enumerate_bisimulations_bruteforce(
     for rel in iter_bisimulations_bruteforce(f1, f2, max_pairs):
         union |= rel.pairs
     return Relation(f1.states, f2.states, union)
+
+
+def iterate_refinement(f1: Fts, f2: Fts) -> list[Relation]:
+    """The non-increasing iteration of :func:`refine` from the full product
+    down to its fixed point, all iterates included.
+
+    Its last iterate is bisimilarity by definition; the tests compare
+    :func:`~fuzzts.bisim.bisimilarity` against it.  Each round decomposes
+    and refines an explicit pair relation, far slower than the engine.
+    """
+    current = Relation.full(f1.states, f2.states)
+    trace = [current]
+    for _ in range(len(f1.states) * len(f2.states) + 1):
+        refined = refine(f1, f2, current)
+        trace.append(refined)
+        if refined == current:
+            return trace
+        current = refined
+    raise AssertionError("refinement failed to stabilize")
 
 
 def is_correlational(relation: Relation, left: Iterable[str], right: Iterable[str]) -> bool:

@@ -1,11 +1,12 @@
 import random
+import sys
 import time
 
 import pytest
 from hypothesis import given, strategies as st
 
 import helpers
-from fuzzts import core
+from fuzzts import bisim, core
 from fuzzts import (
     AlphabetError,
     Degree,
@@ -626,6 +627,50 @@ class TestCheckedOnce:
                 assert image.states == fmap.image() and checks == []
                 images += any(image.transitions())
         assert images > 20
+
+
+class TestSubsystemReadsImages:
+    """``is_subsystem`` compares stored images: it decomposes no relation and
+    runs no bisimulation check, counted under every name a ``fuzzts``
+    module binds ``core.decompose`` and ``bisim.check_bisimulation`` to."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = []
+        modules = [m for name, m in sys.modules.items() if name.split(".")[0] == "fuzzts"]
+        for original in (core.decompose, bisim.check_bisimulation):
+            def counted(*args, original=original):
+                calls.append(original.__name__)
+                return original(*args)
+
+            for module in modules:
+                for key, value in list(vars(module).items()):
+                    if value is original:
+                        monkeypatch.setattr(module, key, counted)
+        return calls
+
+    def test_no_relation_is_checked(self, calls, choice_late):
+        bisim.check_bisimulation(choice_late, choice_late, Relation.diagonal(choice_late.states))
+        assert calls == ["check_bisimulation", "decompose"]
+        calls.clear()
+        rng = random.Random(3131)
+        verdicts = []
+        for _ in range(1000):
+            f2 = helpers.random_fts(rng, rng.randint(1, 5), ["a", "b"])
+            subset = set(rng.sample(f2.sorted_states(), rng.randint(1, len(f2.states))))
+            if rng.random() < 0.5:
+                kept = [e for e in f2.transitions() if e[0] not in subset or e[3] in subset]
+                f2 = Fts.from_triples(f2.states, f2.labels, f2.init, kept)
+            triples = [e for e in f2.transitions() if e[0] in subset and e[3] in subset]
+            if triples and rng.random() < 0.3:
+                triples.pop(rng.randrange(len(triples)))
+            states = subset | {"x"} if rng.random() < 0.1 else subset
+            f1 = Fts.from_triples(states, f2.labels, min(subset), triples)
+            verdict = is_subsystem(f1, f2)
+            assert verdict == helpers.is_subsystem_oracle(f1, f2), (f1, f2)
+            verdicts.append(verdict)
+        assert calls == []
+        assert 100 < sum(verdicts) < 900
 
 
 def test_homomorphism_suite_scales_linearly():

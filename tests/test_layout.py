@@ -1,20 +1,24 @@
 """The package's import layout, read from the source with ``ast``.
 
-Exponential oracles live in :mod:`fuzzts.oracles`, and only the package root
-(which re-exports them) and the CLI (for ``check-bisim --naive``) import
-that module.  The text formats read only the data layer.  No module imports
-another's private name, and each setting guard is written once.  The CLI
-derives a witness's report from its fields rather than spelling them.  Only
+Exponential oracles and definitional references, the refinement iteration
+among them, live in :mod:`fuzzts.oracles`; only that module calls
+``bisim.refine``, and only the package root (which re-exports them) and the
+CLI (for ``check-bisim --naive``) import it.  The text formats read only
+the data layer.  No module imports another's private name, and each
+setting guard is written once.  The CLI derives a witness's report from
+its fields rather than spelling them.  Only
 the constructor and the producers whose images are valid as made (checked
 as they are read, or taken from checked systems) call the unchecking image
 builder, so public input cannot skip the checks, and only ``core`` reads
 the stored form of an image or of a state map.  The
 strong check reads its answers through ``core.image_sups``, as every other
 check reads its suprema.  The package imports nothing from outside the
-standard library.
+standard library, and every function the benchmark's tracer wraps by name
+resolves.
 """
 
 import ast
+import importlib
 import sys
 from pathlib import Path
 
@@ -74,6 +78,25 @@ def test_the_package_imports_only_the_standard_library():
 def test_only_the_root_and_the_cli_import_the_oracles():
     importers = {name for name, imports in IMPORTS.items() if "oracles" in imports}
     assert importers == {"__init__", "cli"}
+
+
+def test_only_the_oracles_iterate_refinement():
+    trees = {name: ast.parse(source) for name, source in SOURCES.items()}
+    defining = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "iterate_refinement"
+    }
+    calling = {
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call)
+        and "refine" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert defining == {"oracles"}
+    assert calling == {"oracles"}
 
 
 def test_modelfile_reads_only_the_data_layer():
@@ -158,3 +181,18 @@ def test_the_strong_check_reads_its_answers_through_the_one_supremum_rule():
     names = {node.id for node in ast.walk(check) if isinstance(node, ast.Name)}
     assert "image_sups" in names
     assert "max" not in names
+
+
+def test_every_name_the_tracer_wraps_resolves(monkeypatch):
+    """``perfbench/tracing.py`` wraps package functions by name, a dotted
+    name being a classmethod; a moved or renamed function fails here."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent / "perfbench"))
+    import tracing
+
+    for layer, name in tracing.WRAPPED:
+        module = importlib.import_module(f"fuzzts.{layer}")
+        if "." in name:
+            cls_name, method = name.split(".")
+            assert isinstance(vars(getattr(module, cls_name)).get(method), classmethod), name
+        else:
+            assert callable(getattr(module, name, None)), (layer, name)
