@@ -77,20 +77,17 @@ def check_homomorphism(f1: Fts, f2: Fts, fmap: StateMap) -> Verdict:
     mapped_init = fmap(f1.init)
     if mapped_init != f2.init:
         return Verdict(False, Witness(f1.init, mapped_init, None, "init-map", f2.init))
-    pairs = fmap.items()
-    keys_of = {s: (fs,) for s, fs in pairs}
-    labels = f1.sorted_labels()
-    for s, fs in pairs:
-        for a in labels:
-            _, required = image_sups(f1, keys_of, s, a)
-            actual = image(f2, fs, a)
-            if required != actual:
-                t = least_difference(required, actual)
-                return Verdict(False, Witness(
-                    s, fs, a, "hom-sup", t,
-                    required.get(t, ZERO), actual.get(t, ZERO),
-                ))
-    return Verdict(True)
+    keys_of = {s: (fs,) for s, fs in fmap.items()}
+
+    def failure(s: str, fs: str, a: str) -> Witness | None:
+        _, required = image_sups(f1, keys_of, s, a)
+        actual = image(f2, fs, a)
+        if required == actual:
+            return None
+        t = least_difference(required, actual)
+        return Witness(s, fs, a, "hom-sup", t, required.get(t, ZERO), actual.get(t, ZERO))
+
+    return Verdict.least(fmap.items(), f1.labels, failure)
 
 
 class NotHomomorphismError(ModelError):

@@ -12,14 +12,15 @@ related pair (s, t) and label:
      bipartite components, the image of s over U and the image of t over V
      have equal suprema.
 
-The check and :func:`refine` read all three from one
-:func:`~fuzzts.core.image_sups` per image, with the blocks as keys;
-:func:`check_strong_bisimulation` reads each side's answers to the other's
-moves from one per image, with each state's partners as keys.  The literal
-subset-pair form and the brute-force enumeration of bisimulations are
-exponential oracles in :mod:`fuzzts.oracles`.  Verdicts carry the least
-failing item by (left state, right state, label), then left support
-violations by state, right ones by state, and block mismatches by index.
+The check and :func:`refine` share one test of the three per pair and
+label, read from one :func:`~fuzzts.core.image_sups` per image with the
+blocks as keys; :func:`check_strong_bisimulation` reads each side's answers
+to the other's moves from one per image, with each state's partners as
+keys.  The literal subset-pair form and the brute-force enumeration of
+bisimulations are exponential oracles in :mod:`fuzzts.oracles`.  Every
+check reports the least failing item by (left state, right state, label)
+through :meth:`Verdict.least`; the block test names left support
+violations by state, then right ones by state, then block mismatches by index.
 
 :func:`bisimilarity` runs on the partition engine of :mod:`fuzzts.partition`.
 :func:`refine`, the monotone operator whose greatest fixed point is
@@ -31,10 +32,11 @@ benchmark's tracer reads ``bisim.refine`` by name.
 from __future__ import annotations
 
 import functools
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .core import (
-    Blocks, Fts, FuzzyAutomaton, Relation, adjacency, check_alphabets, check_relation,
+    Fts, FuzzyAutomaton, Relation, adjacency, check_alphabets, check_relation,
     decompose, image, image_sups, least_difference, members,
 )
 from .degrees import Degree, ZERO
@@ -62,6 +64,18 @@ class Verdict:
     def __bool__(self) -> bool:
         return self.holds
 
+    @classmethod
+    def least(cls, pairs: Iterable[tuple[str, str]], labels: Iterable,
+              failure: Callable[..., Witness | None]) -> Verdict:
+        """The verdict on the least (left, right, label), in sorted order, for
+        which ``failure`` returns a :class:`Witness`; it holds if none does."""
+        labels = sorted(labels)
+        for left, right in sorted(pairs):
+            for label in labels:
+                if witness := failure(left, right, label):
+                    return cls(False, witness)
+        return cls(True)
+
 
 def _format_block(block: tuple[frozenset[str], frozenset[str]]) -> str:
     left = ",".join(sorted(block[0]))
@@ -69,11 +83,32 @@ def _format_block(block: tuple[frozenset[str], frozenset[str]]) -> str:
     return f"{{{left}}}~{{{right}}}"
 
 
-def _block_maps(blocks: Blocks) -> tuple[dict[str, tuple[int]], dict[str, tuple[int]]]:
-    """``{state: (block index,)}`` on each side, over the states the blocks cover."""
-    left = {s: (i,) for i, (u, _) in enumerate(blocks) for s in u}
-    right = {t: (i,) for i, (_, v) in enumerate(blocks) for t in v}
-    return left, right
+def _block_test(f1: Fts, f2: Fts, r: Relation) -> Callable[[str, str, str], Witness | None]:
+    """The three conditions as a function of (s, t, a) that returns the first
+    to fail as a :class:`Witness`, or ``None``; each image is read once."""
+    check_relation(f1, f2, r)
+    blocks = decompose(r)
+    # {state: (block index,)} on each side, over the states the blocks cover
+    left_of = {s: (i,) for i, (u, _) in enumerate(blocks) for s in u}
+    right_of = {t: (i,) for i, (_, v) in enumerate(blocks) for t in v}
+    left = functools.cache(functools.partial(image_sups, f1, left_of))
+    right = functools.cache(functools.partial(image_sups, f2, right_of))
+
+    def failure(s: str, t: str, a: str) -> Witness | None:
+        (outside_l, sups_l), (outside_r, sups_r) = left(s, a), right(t, a)
+        if outside_l:
+            state, degree = outside_l[0]
+            return Witness(s, t, a, "left-support", state, degree, ZERO)
+        if outside_r:
+            state, degree = outside_r[0]
+            return Witness(s, t, a, "right-support", state, ZERO, degree)
+        if sups_l != sups_r:
+            index = least_difference(sups_l, sups_r)
+            return Witness(s, t, a, "block-sup", _format_block(blocks[index]),
+                           sups_l.get(index, ZERO), sups_r.get(index, ZERO))
+        return None
+
+    return failure
 
 
 def check_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
@@ -84,31 +119,7 @@ def check_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     suprema.  Costs the edges of both systems plus, per related pair and
     label, the blocks the two images reach; not blocks times states.
     """
-    check_relation(f1, f2, r)
-    blocks = decompose(r)
-    left_of, right_of = _block_maps(blocks)
-    # a state is in one pair per partner, so each side reads a view once
-    left = functools.cache(functools.partial(image_sups, f1, left_of))
-    right = functools.cache(functools.partial(image_sups, f2, right_of))
-    labels = f1.sorted_labels()
-    for s, t in r.sorted_pairs():
-        for a in labels:
-            outside_l, sups_l = left(s, a)
-            outside_r, sups_r = right(t, a)
-            if outside_l:
-                state, degree = outside_l[0]
-                return Verdict(False, Witness(s, t, a, "left-support", state, degree, ZERO))
-            if outside_r:
-                state, degree = outside_r[0]
-                return Verdict(False, Witness(s, t, a, "right-support", state, ZERO, degree))
-            if sups_l != sups_r:
-                index = least_difference(sups_l, sups_r)
-                return Verdict(
-                    False,
-                    Witness(s, t, a, "block-sup", _format_block(blocks[index]),
-                            sups_l.get(index, ZERO), sups_r.get(index, ZERO)),
-                )
-    return Verdict(True)
+    return Verdict.least(r.pairs, f1.labels, _block_test(f1, f2, r))
 
 
 def check_strong_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
@@ -119,16 +130,17 @@ def check_strong_bisimulation(f1: Fts, f2: Fts, r: Relation) -> Verdict:
     # a side's answer to a move into x: its image's supremum over x's partners
     right_answers = functools.cache(functools.partial(image_sups, f2, lefts))
     left_answers = functools.cache(functools.partial(image_sups, f1, rights))
-    labels = f1.sorted_labels()
-    for s, t in r.sorted_pairs():
-        for a in labels:
-            if miss := _unmatched(image(f1, s, a), right_answers(t, a)[1]):
-                x, moved, best = miss
-                return Verdict(False, Witness(s, t, a, "left-move", x, moved, best))
-            if miss := _unmatched(image(f2, t, a), left_answers(s, a)[1]):
-                y, moved, best = miss
-                return Verdict(False, Witness(s, t, a, "right-move", y, best, moved))
-    return Verdict(True)
+
+    def failure(s: str, t: str, a: str) -> Witness | None:
+        if miss := _unmatched(image(f1, s, a), right_answers(t, a)[1]):
+            x, moved, best = miss
+            return Witness(s, t, a, "left-move", x, moved, best)
+        if miss := _unmatched(image(f2, t, a), left_answers(s, a)[1]):
+            y, moved, best = miss
+            return Witness(s, t, a, "right-move", y, best, moved)
+        return None
+
+    return Verdict.least(r.pairs, f1.labels, failure)
 
 
 def _unmatched(moves: dict, answers: dict) -> tuple | None:
@@ -146,19 +158,9 @@ def refine(f1: Fts, f2: Fts, r: Relation) -> Relation:
     and iterating from the full product reaches bisimilarity.  The tests
     compare :func:`bisimilarity` against it; no library operation calls it.
     """
-    check_relation(f1, f2, r)
-    left_of, right_of = _block_maps(decompose(r))
-    left = functools.cache(functools.partial(image_sups, f1, left_of))
-    right = functools.cache(functools.partial(image_sups, f2, right_of))
-
-    def matches(s: str, t: str) -> bool:
-        for a in f1.labels:
-            (outside_l, sups_l), (outside_r, sups_r) = left(s, a), right(t, a)
-            if outside_l or outside_r or sups_l != sups_r:
-                return False
-        return True
-
-    pairs = {(s, t) for s in f1.states for t in f2.states if matches(s, t)}
+    failure = _block_test(f1, f2, r)
+    pairs = {(s, t) for s in f1.states for t in f2.states
+             if all(failure(s, t, a) is None for a in f1.labels)}
     return Relation(f1.states, f2.states, pairs)
 
 
@@ -208,15 +210,12 @@ def check_automaton_bisimulation(
     m1: FuzzyAutomaton, m2: FuzzyAutomaton, r: Relation
 ) -> Verdict:
     """Automaton form: the bases must be bisimilar under ``r`` and related
-    states must carry equal final degrees."""
+    states must carry equal final degrees, which have no label, so that
+    pass asks under the one label ``None``."""
     base = check_bisimulation(m1.base, m2.base, r)
-    if not base.holds:
-        return base
-    for q1, q2 in r.sorted_pairs():
-        d1 = m1.final(q1)
-        d2 = m2.final(q2)
-        if d1 != d2:
-            return Verdict(
-                False, Witness(q1, q2, None, "final-degree", None, d1, d2)
-            )
-    return Verdict(True)
+
+    def failure(q1: str, q2: str, _: None) -> Witness | None:
+        d1, d2 = m1.final(q1), m2.final(q2)
+        return None if d1 == d2 else Witness(q1, q2, None, "final-degree", None, d1, d2)
+
+    return Verdict.least(r.pairs, [None], failure) if base.holds else base

@@ -221,14 +221,23 @@ def random_pair(rng: random.Random) -> tuple[Fts, Fts]:
     )
 
 
+# The draws below iterate states and pairs in sorted order: a set's order
+# follows the hash seed, and a seeded corpus must not.
+
 def random_relation(rng: random.Random, f1: Fts, f2: Fts, density: float = 0.4) -> Relation:
     pairs = {
         (s, t)
-        for s in f1.states
-        for t in f2.states
+        for s in f1.sorted_states()
+        for t in f2.sorted_states()
         if rng.random() < density
     }
     return Relation(f1.states, f2.states, pairs)
+
+
+def random_subrelation(rng: random.Random, r: Relation, density: float) -> Relation:
+    """Each pair of ``r`` kept with probability ``density``."""
+    pairs = {p for p in r.sorted_pairs() if rng.random() < density}
+    return Relation(r.left_universe, r.right_universe, pairs)
 
 
 def random_equivalence(rng: random.Random, f: Fts) -> Relation:
@@ -248,7 +257,7 @@ def random_equivalence(rng: random.Random, f: Fts) -> Relation:
 def random_map(rng: random.Random, f1: Fts, f2: Fts):
     targets = f2.sorted_states()
     return StateMap(
-        {s: rng.choice(targets) for s in f1.states}, f1.states, f2.states
+        {s: rng.choice(targets) for s in f1.sorted_states()}, f1.states, f2.states
     )
 
 

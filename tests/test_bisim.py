@@ -1,6 +1,7 @@
 import random
 import signal
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -159,6 +160,50 @@ class TestCheckBisimulation:
         assert min(kinds.values()) > 20, kinds
         assert wide > 100
 
+class TestVerdictLeast:
+    """The one witness order: every check reports the least failing
+    (left, right, label), asking in that order."""
+
+    PAIRS = [("s0", "t0"), ("s0", "t1"), ("s1", "t0"), ("s1", "t1")]
+    LABELS = ["a", "b", "c"]
+    ITEMS = [(s, t, a) for (s, t), a in product(PAIRS, LABELS)]
+
+    @staticmethod
+    def failing(items):
+        """A failure test that fails exactly on ``items``, and the list of
+        the items it was asked about."""
+        asked = []
+
+        def failure(s, t, a):
+            asked.append((s, t, a))
+            return Witness(s, t, a, "test") if (s, t, a) in items else None
+
+        return failure, asked
+
+    def test_the_least_failing_item_wins_in_any_input_order(self):
+        rng = random.Random(32)
+        for _ in range(200):
+            items = set(rng.sample(self.ITEMS, rng.randint(1, 4)))
+            pairs, labels = self.PAIRS[:], self.LABELS[:]
+            rng.shuffle(pairs)
+            rng.shuffle(labels)
+            failure, asked = self.failing(items)
+            least = min(items)
+            assert Verdict.least(pairs, labels, failure) == Verdict(False, Witness(*least, "test"))
+            assert asked == self.ITEMS[: self.ITEMS.index(least) + 1]
+
+    def test_a_pairs_first_failing_label_wins_over_later_pairs(self):
+        failure, _ = self.failing({("s0", "t1", "c"), ("s1", "t0", "a")})
+        verdict = Verdict.least(reversed(self.PAIRS), frozenset(self.LABELS), failure)
+        assert verdict.witness == Witness("s0", "t1", "c", "test")
+
+    def test_no_failure_holds(self):
+        failure, asked = self.failing(set())
+        assert Verdict.least(frozenset(self.PAIRS), self.LABELS, failure) == Verdict(True)
+        assert asked == self.ITEMS
+        assert Verdict.least([], self.LABELS, failure) == Verdict(True)
+
+
 class TestCheckBisimulationNaive:
     def test_single_pair_on_twin_fork_fails(self, twin_fork):
         rel = Relation(twin_fork.states, twin_fork.states, {("s0", "s0")})
@@ -264,14 +309,19 @@ class TestCheckStrongBisimulation:
 
 class TestRefine:
     def test_bisimulation_iff_contained_in_refinement(self):
-        """Fixed-point characterization, both directions."""
+        """Fixed-point characterization, both directions; a failing check
+        names the least related pair that the refinement drops."""
         rng = random.Random(13579)
         for _ in range(50):
             f1 = helpers.random_fts(rng, rng.randint(1, 4), ["a", "b"], prefix="s")
             f2 = helpers.random_fts(rng, rng.randint(1, 4), ["a", "b"], prefix="t")
             rel = helpers.random_relation(rng, f1, f2)
-            holds = check_bisimulation(f1, f2, rel).holds
-            assert holds == rel.issubset(refine(f1, f2, rel))
+            verdict = check_bisimulation(f1, f2, rel)
+            refined = refine(f1, f2, rel)
+            assert verdict.holds == rel.issubset(refined)
+            if not verdict.holds:
+                witness = verdict.witness
+                assert (witness.left, witness.right) == min(rel.pairs - refined.pairs)
 
     def test_empty_relation_on_silent_systems_gives_full_product(self):
         f1 = Fts.from_triples(["s0"], ["a"], "s0", [])
@@ -293,8 +343,7 @@ class TestRefine:
             f1 = helpers.random_fts(rng, rng.randint(1, 4), ["a"], prefix="s")
             f2 = helpers.random_fts(rng, rng.randint(1, 4), ["a"], prefix="t")
             big = helpers.random_relation(rng, f1, f2, density=0.6)
-            small_pairs = {p for p in big.pairs if rng.random() < 0.6}
-            small = Relation(f1.states, f2.states, small_pairs)
+            small = helpers.random_subrelation(rng, big, 0.6)
             assert refine(f1, f2, small).issubset(refine(f1, f2, big))
 
     def test_refine_of_fixpoint_is_fixpoint(self):

@@ -12,7 +12,10 @@ as they are read, or taken from checked systems) call the unchecking image
 builder, so public input cannot skip the checks, and only ``core`` reads
 the stored form of an image or of a state map.  The
 strong check reads its answers through ``core.image_sups``, as every other
-check reads its suprema.  The package imports nothing from outside the
+check reads its suprema.  Every check reports its least failing item
+through ``Verdict.least``, and the block check and ``refine`` share one
+pair test, which with ``z_closure`` is the only caller of ``decompose`` in
+``bisim`` and ``algebra``.  The package imports nothing from outside the
 standard library, and every function the benchmark's tracer wraps by name
 resolves.
 """
@@ -135,16 +138,22 @@ def test_the_word_bound_guard_is_written_once():
     assert sum(source.count("max_len must be >= 0") for source in SOURCES.values()) == 1
 
 
-def scopes_naming(tree: ast.AST, attr: str, scope: str = ""):
-    """The qualified name of the innermost function or class around each use
-    of the attribute ``attr`` in a tree, "" at a module's top level."""
+def scoped_nodes(tree: ast.AST, scope: str = ""):
+    """Each node under a tree with the qualified name of the innermost
+    function or class around it, "" at a module's top level."""
     for node in ast.iter_child_nodes(tree):
+        yield scope, node
         inner = scope
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             inner = f"{scope}.{node.name}".lstrip(".")
-        elif isinstance(node, ast.Attribute) and node.attr == attr:
+        yield from scoped_nodes(node, inner)
+
+
+def scopes_naming(tree: ast.AST, attr: str):
+    """The scope of each use of the attribute ``attr`` in a tree."""
+    for scope, node in scoped_nodes(tree):
+        if isinstance(node, ast.Attribute) and node.attr == attr:
             yield scope
-        yield from scopes_naming(node, attr, inner)
 
 
 def test_only_producers_of_checked_images_call_the_builder():
@@ -181,6 +190,46 @@ def test_the_strong_check_reads_its_answers_through_the_one_supremum_rule():
     names = {node.id for node in ast.walk(check) if isinstance(node, ast.Name)}
     assert "image_sups" in names
     assert "max" not in names
+
+
+def is_failing_verdict(node: ast.AST | None) -> bool:
+    """Whether a node builds ``Verdict(False, ...)``, or ``cls(False, ...)``
+    inside the class."""
+    return (
+        isinstance(node, ast.Call)
+        and getattr(node.func, "id", None) in ("Verdict", "cls")
+        and bool(node.args)
+        and isinstance(node.args[0], ast.Constant)
+        and node.args[0].value is False
+    )
+
+
+CHECKS = ("bisim", "algebra")
+
+
+def test_only_verdict_least_reports_from_a_loop():
+    """The witness order is written once: no check walks its own pairs and
+    labels to return the first failure."""
+    reporting = {
+        (module, scope)
+        for module in CHECKS
+        for scope, node in scoped_nodes(ast.parse(SOURCES[module]))
+        if isinstance(node, (ast.For, ast.While))
+        for inner in ast.walk(node)
+        if isinstance(inner, ast.Return) and is_failing_verdict(inner.value)
+    }
+    assert reporting == {("bisim", "Verdict.least")}
+
+
+def test_the_block_check_and_refine_share_one_pair_test():
+    callers = {
+        (module, scope)
+        for module in CHECKS
+        for scope, node in scoped_nodes(ast.parse(SOURCES[module]))
+        if isinstance(node, ast.Call)
+        and "decompose" in (getattr(node.func, "id", None), getattr(node.func, "attr", None))
+    }
+    assert callers == {("bisim", "_block_test"), ("bisim", "z_closure")}
 
 
 def test_every_name_the_tracer_wraps_resolves(monkeypatch):
